@@ -112,7 +112,7 @@ namespace {
 // auto-vectorize but round-trip every accumulator through the stack each
 // time step.)
 constexpr int64_t kRegCols = 16;
-constexpr int64_t kRegRows = 4;
+constexpr int64_t kRegRows = kGramRowGroup;
 
 // One output row r over local columns [c_from, c_end), accumulating
 // [t_begin, t_end). `out_row` points at local column 0 of row r.

@@ -24,6 +24,13 @@ inline constexpr double kMomentVarianceEps = 1e-12;
 /// the streamed time-major rows.
 inline constexpr int64_t kCorrTile = 48;
 
+/// Row-group height of the Gram micro-kernels (GramPanelTile). A call over
+/// a row sub-span of a tile that starts a whole number of groups into the
+/// tile, and ends either on a group boundary or at the tile's end, computes
+/// every cell through the same code path — hence bit-identically — as the
+/// full-tile call; a pair-range index build relies on this.
+inline constexpr int64_t kGramRowGroup = 4;
+
 /// 8-wide double vector of the hot kernels (GCC/Clang vector extension).
 /// Explicit vector accumulators are what keep the micro-kernels
 /// register-resident: the equivalent local-array loops auto-vectorize but

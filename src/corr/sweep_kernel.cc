@@ -31,7 +31,7 @@ void SweepRowRunBand(const SweepView& v, int64_t base_w0, int64_t ns,
   const int64_t n = v.num_series;
   const int64_t stride = v.row_stride;
   const double beta = v.threshold;
-  const double* rows = v.dot_prefix + pair_begin * stride;
+  const double* rows = v.dot_prefix + (pair_begin - v.pair_base) * stride;
 
   const Vec8 vic = SplatVec8(v.inv_count);
   const Vec8 vone = SplatVec8(1.0);

@@ -32,13 +32,16 @@ inline constexpr int64_t kSweepWindowBand = 16;
 /// Immutable per-query view the exact sweep kernel reads: the index's
 /// padded pair dot-prefix block plus the engine's hoisted range moments
 /// (see DangoronEngine::QueryPreparedToSink). Prefix slot w of pair p sits
-/// at `dot_prefix[p * row_stride + w]` (BasicWindowIndex::PairDotPrefix /
-/// PairDotRowStride); `range_sum` / `range_inv_css` are window-major
+/// at `dot_prefix[(p - pair_base) * row_stride + w]`
+/// (BasicWindowIndex::PairDotPrefix / PairDotRowStride / pair_begin — a
+/// range-built index stores rows from its first pair on); callers pass
+/// global pair ids. `range_sum` / `range_inv_css` are window-major
 /// `[k * num_series + s]` — the query-range sum and reciprocal centered
 /// root-sum-of-squares (0 for degenerate series) of series s in window k.
 struct SweepView {
   const double* dot_prefix = nullptr;
   int64_t row_stride = 0;
+  int64_t pair_base = 0;
   const double* range_sum = nullptr;
   const double* range_inv_css = nullptr;
   int64_t num_series = 0;

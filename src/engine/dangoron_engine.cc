@@ -204,6 +204,7 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
   SweepView view;
   view.dot_prefix = index.PairDotPrefix();
   view.row_stride = index.PairDotRowStride();
+  view.pair_base = index.pair_begin();
   view.range_sum = range_sum.data();
   view.range_inv_css = range_inv_css.data();
   view.num_series = n;
@@ -397,6 +398,20 @@ Status DangoronEngine::QueryPreparedToSink(
     return Status::OutOfRange(
         "DangoronEngine: query needs basic windows up to ", last_needed_bw,
         " but only ", index.num_basic_windows(), " are indexed");
+  }
+  // A range-built index holds only its own pairs' rows: the evaluated pairs
+  // must lie inside it, and pivot scans (pairs (z, s) across the whole
+  // clique) need every row.
+  if (!index.CoversPairs(pair_lo, pair_hi)) {
+    return Status::OutOfRange("DangoronEngine: query needs pairs [", pair_lo,
+                              ", ", pair_hi, ") but the index holds [",
+                              index.pair_begin(), ", ", index.pair_end(), ")");
+  }
+  if (options.horizontal_pruning && !index.HasAllPairs()) {
+    return Status::FailedPrecondition(
+        "DangoronEngine: horizontal pruning scans pivot pairs across all ",
+        num_pairs, " pairs but the index holds only [", index.pair_begin(),
+        ", ", index.pair_end(), ")");
   }
   RETURN_IF_ERROR(sink->OnBegin(query, n));
 

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/failpoint.h"
 #include "serve/window_stream.h"
 
 namespace dangoron {
@@ -246,7 +247,7 @@ TaskLane WireServer::ClassifyLane(const WireRequest& request) const {
   const bool tight = request.options.deadline_ms.has_value() &&
                      *request.options.deadline_ms > 0 &&
                      *request.options.deadline_ms <= options_.high_lane_deadline_ms;
-  if (tight || server_->HasPreparedSketch(request.dataset)) {
+  if (tight || server_->HasPreparedSketch(request.dataset, request.query)) {
     return TaskLane::kHigh;
   }
   if (request.options.deadline_ms.has_value() &&
@@ -674,13 +675,17 @@ void WireServer::CloseConnection(const ConnectionPtr& conn) {
 // --------------------------------------------------------- worker side --
 
 bool WireServer::WriteToConnection(const ConnectionPtr& conn,
-                                   const std::string& bytes) {
+                                   const std::string& bytes,
+                                   bool ends_request) {
   {
     MutexLock lock(conn->mutex);
     while (!conn->closed &&
            static_cast<int64_t>(conn->outbuf.size() - conn->out_offset) >=
                options_.outbuf_high_watermark) {
       conn->writable_cv.Wait(conn->mutex);
+    }
+    if (ends_request) {
+      conn->request_in_flight = false;
     }
     if (conn->closed) {
       return false;
@@ -799,10 +804,11 @@ void WireServer::RunRequest(ConnectionPtr conn, WireRequest request) {
 
   std::string terminal;
   EncodeStatusFrame(status, summary, &terminal);
-  WriteToConnection(conn, terminal);  // best-effort on a closed connection
-
-  MutexLock lock(conn->mutex);
-  conn->request_in_flight = false;
+  // Best-effort on a closed connection; frees the request slot either way.
+  WriteToConnection(conn, terminal, /*ends_request=*/true);
+  // After the terminal status is queued — and may already be flushed — a
+  // well-behaved client is free to send its next request.
+  DANGORON_FAILPOINT_HIT("wire.terminal_queued");
 }
 
 }  // namespace dangoron

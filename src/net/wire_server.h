@@ -165,8 +165,14 @@ class WireServer {
   /// Worker-side body of one request.
   void RunRequest(ConnectionPtr conn, WireRequest request);
   /// Worker-side append to the connection's output buffer; blocks on the
-  /// high watermark; false once the connection is closed.
-  bool WriteToConnection(const ConnectionPtr& conn, const std::string& bytes);
+  /// high watermark; false once the connection is closed. `ends_request`
+  /// marks the terminal status frame: the connection's request slot is
+  /// freed in the same critical section that enqueues it, so the IO thread
+  /// can never flush a terminal status while the slot still reads busy (a
+  /// client sending its next request on receipt would be refused as
+  /// pipelined).
+  bool WriteToConnection(const ConnectionPtr& conn, const std::string& bytes,
+                         bool ends_request = false);
   /// Asks the IO thread to flush `conn` (eventfd wake).
   void RequestFlush(const ConnectionPtr& conn);
 

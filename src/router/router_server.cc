@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -185,7 +186,9 @@ bool RouterServer::SendStatus(int fd, const Status& status,
 void RouterServer::HandleConnection(int fd) {
   FrameReader reader(/*expect_preamble=*/true);
   uint8_t chunk[64 * 1024];
-  bool alive = true;
+  // Wakes the request watcher when a relay finishes (see ServeRequest).
+  const int wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  bool alive = wake_fd >= 0;
   while (alive && running_.load()) {
     Frame frame;
     bool have = false;
@@ -209,7 +212,7 @@ void RouterServer::HandleConnection(int fd) {
             MutexLock lock(mutex_);
             ++stats_.requests;
           }
-          alive = ServeRequest(fd, &reader, request);
+          alive = ServeRequest(fd, wake_fd, &reader, request);
           break;
         }
         case FrameType::kCancel:
@@ -248,6 +251,9 @@ void RouterServer::HandleConnection(int fd) {
     }
     reader.Feed(chunk, static_cast<size_t>(n));
   }
+  if (wake_fd >= 0) {
+    ::close(wake_fd);
+  }
   ::close(fd);
   MutexLock lock(mutex_);
   --stats_.connections_active;
@@ -255,7 +261,7 @@ void RouterServer::HandleConnection(int fd) {
                   open_fds_.end());
 }
 
-bool RouterServer::ServeRequest(int fd, FrameReader* reader,
+bool RouterServer::ServeRequest(int fd, int wake_fd, FrameReader* reader,
                                 const WireRequest& request) {
   DatasetInfo info;
   bool known = false;
@@ -297,19 +303,21 @@ bool RouterServer::ServeRequest(int fd, FrameReader* reader,
 
   // Watcher: while the relay below blocks on merge->Next() / send(), this
   // thread is the only reader of the socket, so a cancel frame or a
-  // disconnect reaches the shards immediately. The relay joins it before
-  // touching the FrameReader again.
-  std::atomic<bool> watcher_stop{false};
+  // disconnect reaches the shards immediately. It sleeps on the socket and
+  // `wake_fd` with no timeout; the relay writes `wake_fd` once the merge
+  // drains and joins it before touching the FrameReader again, so the
+  // terminal status leaves the moment the merge ends.
   std::atomic<bool> conn_dead{false};
   std::thread watcher([&] {
     uint8_t wchunk[4096];
-    while (!watcher_stop.load()) {
-      pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLIN | POLLRDHUP;
-      const int rc = ::poll(&pfd, 1, 50);
-      if (rc <= 0) {
+    while (true) {
+      pollfd pfds[2] = {{fd, POLLIN | POLLRDHUP, 0}, {wake_fd, POLLIN, 0}};
+      const int rc = ::poll(pfds, 2, -1);
+      if (rc < 0 && errno == EINTR) {
         continue;
+      }
+      if (rc < 0 || pfds[1].revents != 0) {
+        return;  // the relay is done (or the poll set broke)
       }
       const ssize_t n = ::recv(fd, wchunk, sizeof(wchunk), 0);
       if (n <= 0) {
@@ -385,8 +393,11 @@ bool RouterServer::ServeRequest(int fd, FrameReader* reader,
     ++windows_sent;
   }
 
-  watcher_stop.store(true);
+  const uint64_t one = 1;
+  [[maybe_unused]] ssize_t woke = ::write(wake_fd, &one, sizeof(one));
   watcher.join();
+  uint64_t drained = 0;  // re-arm for the connection's next request
+  [[maybe_unused]] ssize_t reset = ::read(wake_fd, &drained, sizeof(drained));
 
   if (const int64_t failovers = merge->failovers(); failovers > 0) {
     MutexLock lock(mutex_);

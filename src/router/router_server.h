@@ -53,9 +53,12 @@ struct RouterServerStats {
 /// long-lived, mostly-streaming connections, and a blocking relay loop per
 /// connection keeps the backpressure chain trivially correct — the relay
 /// blocks on whichever side is slower. While a request is in flight, a
-/// watcher thread polls the socket so a client cancel frame or disconnect
-/// reaches the merge (and through it all K shards) immediately instead of
-/// at the next window boundary.
+/// watcher thread sleeps on the socket so a client cancel frame or
+/// disconnect reaches the merge (and through it all K shards) immediately
+/// instead of at the next window boundary. The watcher is woken, not
+/// polled: it waits on the socket plus a per-connection eventfd with no
+/// timeout, and the relay signals the eventfd the moment the merge drains,
+/// so the terminal status adds no poll residual to a request.
 ///
 /// The router holds no time-series data, so it cannot resolve a dataset
 /// name to its pair count or verify content: `RegisterDataset` supplies
@@ -102,7 +105,9 @@ class RouterServer {
   void HandleConnection(int fd);
   /// Serves one decoded request on `fd`; returns false when the connection
   /// must close (protocol error or dead socket).
-  bool ServeRequest(int fd, FrameReader* reader, const WireRequest& request);
+  /// `wake_fd` is the connection's eventfd that ends the request watcher.
+  bool ServeRequest(int fd, int wake_fd, FrameReader* reader,
+                    const WireRequest& request);
   /// Appends a status frame and writes it; best-effort.
   bool SendStatus(int fd, const Status& status, const WireSummary& summary);
   bool WriteAll(int fd, const std::string& data);

@@ -28,9 +28,12 @@ class PreparedDataset {
   /// ContentFingerprint — callers (the server registers datasets by it)
   /// already hold it, and the O(N * L) hash is not worth recomputing on
   /// every cache-miss prepare. Pass std::nullopt to have it computed here.
+  /// [pair_begin, pair_end) restricts the pair rows built (see
+  /// BasicWindowIndexOptions); (0, 0) builds every pair.
   static Result<std::shared_ptr<const PreparedDataset>> Create(
       std::shared_ptr<const TimeSeriesMatrix> data, int64_t basic_window,
-      ThreadPool* pool, std::optional<uint64_t> fingerprint = std::nullopt);
+      ThreadPool* pool, std::optional<uint64_t> fingerprint = std::nullopt,
+      int64_t pair_begin = 0, int64_t pair_end = 0);
 
   const TimeSeriesMatrix& data() const { return *data_; }
   const BasicWindowIndex& index() const { return index_; }

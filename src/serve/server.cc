@@ -249,8 +249,10 @@ Result<int64_t> DangoronServer::DatasetLength(const std::string& name) const {
   return it->second.data->length();
 }
 
-bool DangoronServer::HasPreparedSketch(const std::string& dataset) const {
+bool DangoronServer::HasPreparedSketch(const std::string& dataset,
+                                       const SlidingQuery& query) const {
   uint64_t fingerprint = 0;
+  int64_t num_series = 0;
   {
     MutexLock lock(datasets_mutex_);
     auto it = datasets_.find(dataset);
@@ -258,9 +260,12 @@ bool DangoronServer::HasPreparedSketch(const std::string& dataset) const {
       return false;
     }
     fingerprint = it->second.fingerprint;
+    num_series = it->second.data->num_series();
   }
-  return sketch_cache_.Contains(
-      SketchCacheKey{fingerprint, options_.basic_window});
+  const SketchCacheKey full_key{fingerprint, options_.basic_window};
+  const SketchCacheKey key = SketchKeyFor(fingerprint, query, num_series);
+  return sketch_cache_.Contains(full_key) ||
+         (key != full_key && sketch_cache_.Contains(key));
 }
 
 double DangoronServer::CanonicalThreshold(double threshold,
@@ -376,11 +381,24 @@ double DangoronServer::EstimateExactCostMs(const RequestContext& ctx) const {
   return cells * cell_ns / 1e6;
 }
 
-int64_t DangoronServer::EstimatePrepareBytes(
-    const TimeSeriesMatrix& data) const {
+SketchCacheKey DangoronServer::SketchKeyFor(uint64_t fingerprint,
+                                            const SlidingQuery& query,
+                                            int64_t num_series) const {
+  const int64_t num_pairs = num_series * (num_series - 1) / 2;
+  const auto [lo, hi] = query.PairRange(num_pairs);
+  if (lo == 0 && hi == num_pairs) {
+    return SketchCacheKey{fingerprint, options_.basic_window};
+  }
+  return SketchCacheKey{fingerprint, options_.basic_window, lo, hi};
+}
+
+int64_t DangoronServer::EstimatePrepareBytes(const TimeSeriesMatrix& data,
+                                             const SketchCacheKey& key) const {
   BasicWindowIndexOptions index_options;
   index_options.basic_window = options_.basic_window;
   index_options.build_pair_sketches = true;
+  index_options.pair_begin = key.pair_begin;
+  index_options.pair_end = key.pair_end;
   return BasicWindowIndex::EstimateMemoryBytes(data.num_series(),
                                                data.length(), index_options) +
          static_cast<int64_t>(data.values().size() * sizeof(double));
@@ -408,6 +426,12 @@ Status DangoronServer::CheckIndexCoverage(const SlidingQuery& query,
     return Status::OutOfRange(
         "DangoronServer: query needs basic windows up to ", last_needed_bw,
         " but only ", index.num_basic_windows(), " are indexed");
+  }
+  const auto [pair_lo, pair_hi] = query.PairRange(index.num_pairs());
+  if (!index.CoversPairs(pair_lo, pair_hi)) {
+    return Status::OutOfRange("DangoronServer: query needs pairs [", pair_lo,
+                              ", ", pair_hi, ") but the sketch holds [",
+                              index.pair_begin(), ", ", index.pair_end(), ")");
   }
   return Status::Ok();
 }
@@ -507,10 +531,23 @@ Result<ServeResult> DangoronServer::Query(const std::string& dataset,
 
 Result<std::shared_ptr<const PreparedDataset>> DangoronServer::GetOrPrepare(
     std::shared_ptr<const TimeSeriesMatrix> data, uint64_t fingerprint,
-    AdmissionPolicy admission, const DeadlineToken& deadline,
-    WindowStreamState* stream, bool* shared) {
-  const SketchCacheKey key{fingerprint, options_.basic_window};
-  if (auto cached = sketch_cache_.Get(key)) {
+    const SlidingQuery& query, AdmissionPolicy admission,
+    const DeadlineToken& deadline, WindowStreamState* stream, bool* shared) {
+  // A full sketch answers every pair range; a range sketch only its own.
+  // The full key is peeked before it is fetched so a range request that
+  // only its own sketch can answer is not also counted as a full-key miss.
+  const SketchCacheKey full_key{fingerprint, options_.basic_window};
+  const SketchCacheKey key =
+      SketchKeyFor(fingerprint, query, data->num_series());
+  const bool ranged = key != full_key;
+  std::shared_ptr<const PreparedDataset> cached;
+  if (ranged && sketch_cache_.Contains(full_key)) {
+    cached = sketch_cache_.Get(full_key);
+  }
+  if (cached == nullptr) {
+    cached = sketch_cache_.Get(key);
+  }
+  if (cached != nullptr) {
     *shared = true;
     MutexLock lock(stats_mutex_);
     ++stats_.prepares_shared;
@@ -523,7 +560,10 @@ Result<std::shared_ptr<const PreparedDataset>> DangoronServer::GetOrPrepare(
     std::shared_future<std::shared_ptr<const PreparedDataset>> join;
     {
       MutexLock lock(inflight_mutex_);
-      auto it = inflight_prepares_.find(key);
+      auto it = inflight_prepares_.find(full_key);
+      if (ranged && it == inflight_prepares_.end()) {
+        it = inflight_prepares_.find(key);
+      }
       if (it != inflight_prepares_.end()) {
         join = it->second;
       }
@@ -549,7 +589,7 @@ Result<std::shared_ptr<const PreparedDataset>> DangoronServer::GetOrPrepare(
   // policy reserves budget — reclaiming idle LRU entries, else parking
   // until evictions or released handles free enough, the deadline passes,
   // or the stream cancels.
-  const int64_t estimate = EstimatePrepareBytes(*data);
+  const int64_t estimate = EstimatePrepareBytes(*data, key);
   bool queued_reservation = false;
   if (admission == AdmissionPolicy::kQueue) {
     std::shared_ptr<const PreparedDataset> landed;
@@ -629,7 +669,7 @@ Result<std::shared_ptr<const PreparedDataset>> DangoronServer::GetOrPrepare(
   auto build_once = [&]() -> Result<std::shared_ptr<const PreparedDataset>> {
     DANGORON_FAILPOINT("serve.prepare");
     return PreparedDataset::Create(data, options_.basic_window, pool_.get(),
-                                   fingerprint);
+                                   fingerprint, key.pair_begin, key.pair_end);
   };
   auto prepared_or = build_once();
   int retries = 0;
@@ -704,7 +744,7 @@ Status DangoronServer::RunWindowPlan(
 
   Stopwatch prepare_timer;
   ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> prepared,
-                   GetOrPrepare(data, fingerprint, ctx.admission,
+                   GetOrPrepare(data, fingerprint, query, ctx.admission,
                                 ctx.deadline, stream,
                                 &out->prepared_from_cache));
   if (prepare_seconds_out != nullptr) {
@@ -1048,8 +1088,8 @@ Status DangoronServer::RunApproxPlan(const RequestContext& ctx,
   // depends on this query's range; publishing it would poison exact
   // reuse), and no claims (nothing here is joinable).
   ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> prepared,
-                   GetOrPrepare(ctx.data, ctx.fingerprint, ctx.admission,
-                                ctx.deadline, stream,
+                   GetOrPrepare(ctx.data, ctx.fingerprint, query,
+                                ctx.admission, ctx.deadline, stream,
                                 &out->prepared_from_cache));
   RETURN_IF_ERROR(CheckIndexCoverage(query, prepared->index()));
   const int64_t num_windows = query.NumWindows();

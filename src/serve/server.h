@@ -251,12 +251,15 @@ class DangoronServer {
   /// for "the whole range" without knowing the series length.
   Result<int64_t> DatasetLength(const std::string& name) const;
 
-  /// True when `dataset` is registered and its sketch is currently resident
-  /// in the prepared-sketch cache — i.e. a query against it skips the
-  /// prepare. A pure peek: no recency bump, no hit/miss accounting. The
-  /// network front end's lane classifier uses it to route warm requests to
-  /// the high-priority lane and cold prepares to the low one.
-  bool HasPreparedSketch(const std::string& dataset) const;
+  /// True when `dataset` is registered and a sketch that answers `query`
+  /// (the full sketch, or the range sketch of `query`'s pair restriction)
+  /// is currently resident in the prepared-sketch cache — i.e. the query
+  /// skips the prepare. A pure peek: no recency bump, no hit/miss
+  /// accounting. The network front end's lane classifier uses it to route
+  /// warm requests to the high-priority lane and cold prepares to the low
+  /// one.
+  bool HasPreparedSketch(const std::string& dataset,
+                         const SlidingQuery& query = SlidingQuery{}) const;
 
   /// Submits a request; returns immediately. The future resolves on a pool
   /// thread once the result is assembled. The request carries the service
@@ -343,13 +346,23 @@ class DangoronServer {
   /// prepared sketch, so it cannot differentiate them.
   double EstimateExactCostMs(const RequestContext& ctx) const;
 
-  /// The closed-form admission estimate of preparing `data`: index bytes
-  /// plus the data matrix — the same number the sketch cache is charged.
-  int64_t EstimatePrepareBytes(const TimeSeriesMatrix& data) const;
+  /// The sketch a query over `num_series` series prepares: the full sketch
+  /// (pair range (0, 0), the key of every unrestricted request) unless the
+  /// query's clamped pair restriction is a strict sub-range, which gets a
+  /// range sketch holding only those pair rows.
+  SketchCacheKey SketchKeyFor(uint64_t fingerprint, const SlidingQuery& query,
+                              int64_t num_series) const;
+
+  /// The closed-form admission estimate of preparing `key`'s sketch over
+  /// `data`: index bytes (of its pair range) plus the data matrix — the
+  /// same number the sketch cache is charged.
+  int64_t EstimatePrepareBytes(const TimeSeriesMatrix& data,
+                               const SketchCacheKey& key) const;
 
   /// The query preconditions both tiers share — and must keep rejecting
   /// identically: basic-window alignment (checked before any prepare is
-  /// paid) and, once prepared, coverage of the indexed basic windows.
+  /// paid) and, once prepared, coverage of the indexed basic windows and
+  /// of the query's pairs by the sketch's stored pair rows.
   Status CheckQueryAligned(const SlidingQuery& query) const;
   Status CheckIndexCoverage(const SlidingQuery& query,
                             const BasicWindowIndex& index) const;
@@ -437,11 +450,13 @@ class DangoronServer {
   /// exponential backoff bounded by the remaining deadline;
   /// ResourceExhausted is never retried (it feeds degradation, and backoff
   /// cannot free a budget). Sets `*shared` when this query did not pay the
-  /// build.
+  /// build. The sketch is `query`'s (SketchKeyFor): a resident or in-flight
+  /// full sketch answers a pair-restricted query too; a range sketch
+  /// answers only its own range.
   Result<std::shared_ptr<const PreparedDataset>> GetOrPrepare(
       std::shared_ptr<const TimeSeriesMatrix> data, uint64_t fingerprint,
-      AdmissionPolicy admission, const DeadlineToken& deadline,
-      WindowStreamState* stream, bool* shared);
+      const SlidingQuery& query, AdmissionPolicy admission,
+      const DeadlineToken& deadline, WindowStreamState* stream, bool* shared);
 
   const DangoronServerOptions options_;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <new>
 #include <optional>
+#include <tuple>
 
 #include "common/logging.h"
 #include "common/sync.h"
@@ -164,6 +165,11 @@ Result<BasicWindowIndex> BasicWindowIndex::Build(
         "BasicWindowIndex: data contains missing values; run "
         "InterpolateMissing first");
   }
+  if (options.pair_begin < 0 || options.pair_end < 0) {
+    return Status::InvalidArgument("BasicWindowIndex: pair range [",
+                                   options.pair_begin, ", ", options.pair_end,
+                                   ") is negative");
+  }
 
   BasicWindowIndex index;
   index.data_ = &data;
@@ -172,6 +178,10 @@ Result<BasicWindowIndex> BasicWindowIndex::Build(
   index.num_series_ = data.num_series();
   index.num_pairs_ = data.num_series() * (data.num_series() - 1) / 2;
   index.has_pair_sketches_ = options.build_pair_sketches;
+  if (options.build_pair_sketches) {
+    std::tie(index.pair_begin_, index.pair_end_) =
+        StoredPairRange(options, index.num_pairs_);
+  }
 
   const int64_t nb = index.num_basic_windows_;
   const int64_t b = index.basic_window_;
@@ -244,8 +254,8 @@ Result<BasicWindowIndex> BasicWindowIndex::Build(
   // aligned up to 64 bytes inside a slightly oversized allocation drawn
   // from the storage recycler.
   index.pair_row_stride_ = (nb + 1 + kPairRowPad + 7) / 8 * 8;
-  index.pair_prefix_size_ =
-      static_cast<size_t>(index.num_pairs_ * index.pair_row_stride_);
+  index.pair_prefix_size_ = static_cast<size_t>(
+      (index.pair_end_ - index.pair_begin_) * index.pair_row_stride_);
   constexpr size_t kAlignSlack = 7;  // doubles; one cache line of headroom
   index.pair_storage_size_ = index.pair_prefix_size_ + kAlignSlack;
   index.pair_dot_storage_ =
@@ -284,8 +294,11 @@ void BasicWindowIndex::BuildPairSketchesScalar(const TimeSeriesMatrix& data,
   auto build_row = [&](int64_t i) {
     std::span<const double> xi = data.Row(i);
     for (int64_t j = i + 1; j < n; ++j) {
-      std::span<const double> xj = data.Row(j);
       const int64_t p = PairId(i, j, n);
+      if (p < pair_begin_ || p >= pair_end_) {
+        continue;
+      }
+      std::span<const double> xj = data.Row(j);
       double dot_acc = 0.0;
       double omc_acc = 0.0;
       pair_dot_prefix_[Px(p, 0)] = 0.0;
@@ -339,6 +352,14 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
   // transpose. Every (pair, window) slot is written by exactly one task and
   // the per-cell arithmetic is independent of the decomposition, so any
   // thread count produces bit-identical sketches.
+  //
+  // A pair-range build stores only pairs [pair_begin_, pair_end_): tasks
+  // owning none of them are skipped, and a task restricts its Gram calls to
+  // the row span owning stored pairs, widened to whole kGramRowGroup groups
+  // of the tile (so every cell takes the full build's kernel path), and its
+  // flush to the stored pairs while keeping the 8-pair groups anchored
+  // where the full build anchors them. Stored rows are therefore
+  // bit-identical to the full build's.
   constexpr int64_t kWinBatch = 8;
   const int64_t num_row_tiles = panels.num_tiles;
   std::vector<std::pair<int64_t, int64_t>> tile_pairs;
@@ -358,6 +379,43 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
     const int64_t col_end = std::min(n, col_begin + kCorrTile);
     const int64_t nrows = row_end - row_begin;
     const double bw = static_cast<double>(b);
+
+    // Row i's pairs in this task are the contiguous ids
+    // [PairId(i, j0), + col_end - j0); the stored ones are the local span
+    // [lo, hi) of that run. Stored rows form one contiguous row span.
+    struct RowSpan {
+      int64_t j0 = 0, p0 = 0, lo = 0, hi = 0;
+    };
+    auto row_span = [&](int64_t i) {
+      RowSpan r;
+      r.j0 = std::max(col_begin, i + 1);
+      if (r.j0 >= col_end) {
+        return r;
+      }
+      const int64_t njs = col_end - r.j0;
+      r.p0 = PairId(i, r.j0, n);
+      r.lo = std::clamp<int64_t>(pair_begin_ - r.p0, 0, njs);
+      r.hi = std::clamp<int64_t>(pair_end_ - r.p0, r.lo, njs);
+      return r;
+    };
+    int64_t live_begin = row_end;
+    int64_t live_end = row_begin;
+    for (int64_t i = row_begin; i < row_end; ++i) {
+      const RowSpan r = row_span(i);
+      if (r.lo < r.hi) {
+        live_begin = std::min(live_begin, i);
+        live_end = i + 1;
+      }
+    }
+    if (live_begin >= live_end) {
+      return;  // owns no stored pair
+    }
+    const int64_t gram_begin =
+        row_begin + (live_begin - row_begin) / kGramRowGroup * kGramRowGroup;
+    const int64_t gram_end = std::min(
+        row_end, row_begin + CeilDiv(live_end - row_begin, kGramRowGroup) *
+                                 kGramRowGroup);
+
     double acc_dot[kCorrTile * kCorrTile];
     double acc_omc[kCorrTile * kCorrTile];
     // Window-major staging: plane k holds window wb + k's Gram tile,
@@ -374,20 +432,20 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
     double col_sd[kWinBatch * kCorrTile];
     double col_m[kWinBatch * kCorrTile];
 
-    // Prefix slot 0 and the running accumulators of every owned pair.
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const int64_t j0 = std::max(col_begin, i + 1);
-      if (j0 >= col_end) {
-        continue;
-      }
-      int64_t p = PairId(i, j0, n);
-      for (int64_t j = j0; j < col_end; ++j, ++p) {
+    // Prefix slot 0 of every stored pair, and the running accumulators of
+    // every pair of the live rows (an 8-pair group straddling the range
+    // edge still runs full width; its unstored lanes are never written).
+    for (int64_t i = live_begin; i < live_end; ++i) {
+      const RowSpan r = row_span(i);
+      for (int64_t j = r.j0; j < col_end; ++j) {
         const size_t idx =
             static_cast<size_t>((i - row_begin) * kCorrTile + (j - col_begin));
         acc_dot[idx] = 0.0;
         acc_omc[idx] = 0.0;
-        pair_dot_prefix_[Px(p, 0)] = 0.0;
-        pair_one_minus_corr_prefix_[Px(p, 0)] = 0.0;
+      }
+      for (int64_t u = r.lo; u < r.hi; ++u) {
+        pair_dot_prefix_[Px(r.p0 + u, 0)] = 0.0;
+        pair_one_minus_corr_prefix_[Px(r.p0 + u, 0)] = 0.0;
       }
     }
 
@@ -395,11 +453,14 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
       const int64_t wc = std::min<int64_t>(kWinBatch, nb - wb);
       for (int64_t k = 0; k < wc; ++k) {
         const int64_t w = wb + k;
-        GramPanelTile(panels.Panel(w, ti), kCorrTile, nrows,
-                      panels.Panel(w, tj), kCorrTile, col_end - col_begin, 0,
-                      b, /*upper_only=*/tj == ti,
-                      /*diag=*/row_begin - col_begin,
-                      gram_batch.data() + k * plane, kCorrTile);
+        GramPanelTile(panels.Panel(w, ti) + (gram_begin - row_begin),
+                      kCorrTile, gram_end - gram_begin, panels.Panel(w, tj),
+                      kCorrTile, col_end - col_begin, 0, b,
+                      /*upper_only=*/tj == ti,
+                      /*diag=*/gram_begin - col_begin,
+                      gram_batch.data() + k * plane +
+                          (gram_begin - row_begin) * kCorrTile,
+                      kCorrTile);
         const double* means = panels.mean.data() + w * n;
         const double* stddevs = panels.stddev.data() + w * n;
         for (int64_t v = 0; v < nrows; ++v) {
@@ -424,22 +485,25 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
       // hides its latency. The per-window Vec8 snapshots are transposed in
       // registers so each pair's prefix run leaves as one full-width store;
       // a scalar loop finishes ragged pair tails and ragged final batches.
-      for (int64_t i = row_begin; i < row_end; ++i) {
-        const int64_t j0 = std::max(col_begin, i + 1);
-        if (j0 >= col_end) {
+      for (int64_t i = live_begin; i < live_end; ++i) {
+        const RowSpan r = row_span(i);
+        if (r.lo >= r.hi) {
           continue;
         }
+        const int64_t j0 = r.j0;
         const int64_t njs = col_end - j0;
         const double* rbsd = row_bsd + (i - row_begin) * kWinBatch;
         const double* rbm = row_bm + (i - row_begin) * kWinBatch;
-        const int64_t p0 = PairId(i, j0, n);
+        const int64_t p0 = r.p0;
         const size_t idx0 = static_cast<size_t>((i - row_begin) * kCorrTile +
                                                 (j0 - col_begin));
-        int64_t u = 0;
+        // First 8-pair group touching the stored span, on the full build's
+        // group grid.
+        int64_t u = r.lo / 8 * 8;
         if (wc == kWinBatch) {
           const Vec8 kOne = SplatVec8(1.0);
           const Vec8 kNegOne = SplatVec8(-1.0);
-          for (; u + 8 <= njs; u += 8) {
+          for (; u + 8 <= njs && u < r.hi; u += 8) {
             const size_t idx = idx0 + static_cast<size_t>(u);
             Vec8 dacc = LoadVec8(acc_dot + idx);
             Vec8 oacc = LoadVec8(acc_omc + idx);
@@ -461,14 +525,15 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
             StoreVec8(acc_omc + idx, oacc);
             Transpose8x8(dsnap);
             Transpose8x8(osnap);
-            for (int64_t v = 0; v < 8; ++v) {
+            const int64_t v_end = std::min<int64_t>(8, r.hi - u);
+            for (int64_t v = std::max<int64_t>(0, r.lo - u); v < v_end; ++v) {
               StreamVec8(pair_dot_prefix_ + Px(p0 + u + v, wb + 1), dsnap[v]);
               StreamVec8(pair_one_minus_corr_prefix_ + Px(p0 + u + v, wb + 1),
                          osnap[v]);
             }
           }
         }
-        for (; u < njs; ++u) {
+        for (u = std::max(u, r.lo); u < r.hi; ++u) {
           const size_t idx = idx0 + static_cast<size_t>(u);
           const double* g = gram_batch.data() + idx;
           const double* csd = col_sd + (j0 - col_begin) + u;
@@ -567,6 +632,15 @@ int64_t BasicWindowIndex::MemoryBytes() const {
       sizeof(double));
 }
 
+std::pair<int64_t, int64_t> BasicWindowIndex::StoredPairRange(
+    const BasicWindowIndexOptions& options, int64_t num_pairs) {
+  if (options.pair_begin == 0 && options.pair_end == 0) {
+    return {0, num_pairs};
+  }
+  const int64_t lo = std::clamp<int64_t>(options.pair_begin, 0, num_pairs);
+  return {lo, std::clamp<int64_t>(options.pair_end, lo, num_pairs)};
+}
+
 int64_t BasicWindowIndex::EstimateMemoryBytes(
     int64_t num_series, int64_t length,
     const BasicWindowIndexOptions& options) {
@@ -577,11 +651,13 @@ int64_t BasicWindowIndex::EstimateMemoryBytes(
   const int64_t nb = length / options.basic_window;
   int64_t doubles = 2 * num_series * (nb + 1);  // the two series prefixes
   if (options.build_pair_sketches) {
-    // Mirrors Build's padded stride; MemoryBytes counts the prefix slots
-    // (not the alignment slack), so this matches the built index exactly.
-    const int64_t num_pairs = num_series * (num_series - 1) / 2;
+    // Mirrors Build's padded stride and stored range; MemoryBytes counts
+    // the prefix slots (not the alignment slack), so this matches the built
+    // index exactly.
+    const auto [lo, hi] =
+        StoredPairRange(options, num_series * (num_series - 1) / 2);
     const int64_t stride = (nb + 1 + kPairRowPad + 7) / 8 * 8;
-    doubles += 2 * num_pairs * stride;
+    doubles += 2 * (hi - lo) * stride;
   }
   return doubles * static_cast<int64_t>(sizeof(double));
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -29,6 +30,13 @@ struct BasicWindowIndexOptions {
   /// kernel tests and the baseline of bench_microkernels; both paths agree
   /// within 1e-9 and each is bit-deterministic across thread counts.
   bool use_blocked_kernel = true;
+  /// Restricts the pair sketches to pair ids [pair_begin, pair_end) — a
+  /// shard's slice of the canonical enumeration (the SlidingQuery pair
+  /// restriction). (0, 0) builds every pair; pair_end past the pair count is
+  /// clamped. Only the pair rows are restricted: per-series prefixes and the
+  /// build's normalized panels cost O(N * L) and stay full.
+  int64_t pair_begin = 0;
+  int64_t pair_end = 0;
 };
 
 /// The basic-window sketch of the paper (Section 3): per-series and per-pair
@@ -39,13 +47,20 @@ struct BasicWindowIndexOptions {
 /// - Pairs (i, j), i < j, are addressed by a canonical dense id, see PairId.
 /// - All prefix arrays have nb + 1 entries per series/pair, so a range
 ///   [lo, hi) reduces to two loads and a subtract.
+/// - A range-built index (BasicWindowIndexOptions::pair_begin/pair_end)
+///   stores only the rows of pairs [pair_begin(), pair_end()), indexed
+///   relative to pair_begin(); readers still take global pair ids, and
+///   callers must check CoversPairs before reading (the engine and the
+///   serving layer refuse uncovered queries with a Status).
 ///
 /// The index borrows the data matrix; it must outlive the index.
 class BasicWindowIndex {
  public:
   /// Builds the index over all columns of `data`. When `pool` is non-null,
   /// pair sketches are built in parallel. Fails when the matrix is empty,
-  /// contains NaN (interpolate first), or is shorter than one basic window.
+  /// contains NaN (interpolate first), is shorter than one basic window, or
+  /// the pair range is negative. A range build's rows are bit-identical to
+  /// the same pairs' rows in a full build, for any pool size.
   static Result<BasicWindowIndex> Build(
       const TimeSeriesMatrix& data, const BasicWindowIndexOptions& options,
       ThreadPool* pool = nullptr);
@@ -67,6 +82,16 @@ class BasicWindowIndex {
   int64_t num_series() const { return num_series_; }
   int64_t num_pairs() const { return num_pairs_; }
   bool has_pair_sketches() const { return has_pair_sketches_; }
+  /// The stored pair rows: [0, num_pairs()) unless range-built.
+  int64_t pair_begin() const { return pair_begin_; }
+  int64_t pair_end() const { return pair_end_; }
+  /// True when every pair of [lo, hi) has a stored row (an empty range is
+  /// always covered).
+  bool CoversPairs(int64_t lo, int64_t hi) const {
+    return lo >= hi || (pair_begin_ <= lo && hi <= pair_end_);
+  }
+  /// True when the index holds every pair's row (pivot scans need this).
+  bool HasAllPairs() const { return CoversPairs(0, num_pairs_); }
   const TimeSeriesMatrix& data() const { return *data_; }
 
   /// Canonical id of pair (i, j), i != j, in [0, N*(N-1)/2).
@@ -101,9 +126,9 @@ class BasicWindowIndex {
 
   /// Raw view of the pair dot-prefix block for the window-major sweep
   /// kernel (corr/sweep_kernel.h): prefix slot w of pair p sits at
-  /// `PairDotPrefix()[p * PairDotRowStride() + w]`, so DotRange(p, lo, hi)
-  /// is the hi/lo slot difference. Requires pair sketches; valid while the
-  /// index is alive.
+  /// `PairDotPrefix()[(p - pair_begin()) * PairDotRowStride() + w]`, so
+  /// DotRange(p, lo, hi) is the hi/lo slot difference. Requires pair
+  /// sketches; valid while the index is alive.
   const double* PairDotPrefix() const { return pair_dot_prefix_ + kPairRowPad; }
   int64_t PairDotRowStride() const { return pair_row_stride_; }
 
@@ -139,8 +164,9 @@ class BasicWindowIndex {
   int64_t MemoryBytes() const;
 
   /// Bytes an index built over an `num_series x length` matrix with
-  /// `options` will hold, without building it — the sketch cache's admission
-  /// arithmetic. Matches MemoryBytes() of the built index exactly.
+  /// `options` (pair range included) will hold, without building it — the
+  /// sketch cache's admission arithmetic. Matches MemoryBytes() of the built
+  /// index exactly.
   static int64_t EstimateMemoryBytes(int64_t num_series, int64_t length,
                                      const BasicWindowIndexOptions& options);
 
@@ -164,14 +190,20 @@ class BasicWindowIndex {
   /// land as full aligned cache lines eligible for non-temporal stores.
   static constexpr int64_t kPairRowPad = 7;
   size_t Px(int64_t p, int64_t w) const {
-    return static_cast<size_t>(p * pair_row_stride_ + kPairRowPad + w);
+    return static_cast<size_t>((p - pair_begin_) * pair_row_stride_ +
+                               kPairRowPad + w);
   }
+  /// The clamped stored pair range of `options` over `num_pairs` pairs.
+  static std::pair<int64_t, int64_t> StoredPairRange(
+      const BasicWindowIndexOptions& options, int64_t num_pairs);
 
   const TimeSeriesMatrix* data_ = nullptr;
   int64_t basic_window_ = 0;
   int64_t num_basic_windows_ = 0;
   int64_t num_series_ = 0;
   int64_t num_pairs_ = 0;
+  int64_t pair_begin_ = 0;
+  int64_t pair_end_ = 0;
   bool has_pair_sketches_ = false;
 
   // Prefix arrays, one row per series/pair. Series rows have nb + 1

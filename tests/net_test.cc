@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/sync.h"
@@ -309,6 +310,53 @@ TEST_F(WireE2ETest, EndZeroMeansFullRangeAndFingerprintIsChecked) {
   EXPECT_EQ(client->result_status().code(), StatusCode::kNotFound);
 
   wire.Stop();
+}
+
+TEST_F(WireE2ETest, NextRequestOnStatusReceiptIsNeverRefusedAsPipelined) {
+  WireServerOptions options;
+  options.port = -1;
+  WireServer wire(&server_, options);
+  ASSERT_TRUE(wire.Start().ok());
+  auto client = ConnectOverSocketpair(&wire);
+
+  // Stall each worker right after it queued a terminal status: the IO
+  // thread flushes the status and the client sends its next request while
+  // the worker is still inside the request. A request slot freed only
+  // after that point refuses every such request as pipelined
+  // (FailedPrecondition, connection closed); it must be free already.
+  Failpoint* stall =
+      FailpointRegistry::Instance().GetOrCreate("wire.terminal_queued");
+  const int64_t stalls_before = stall->hits();
+  ASSERT_TRUE(stall->Set("delay:1*100").ok());
+  WireRequest missing;
+  missing.dataset = "nope";  // NotFound: the status is the whole response
+  WireRequest real;
+  real.dataset = "d";
+  real.query = TestQuery();
+  for (int i = 0; i < 500; ++i) {
+    const bool full = i % 50 == 0;
+    ASSERT_TRUE(client->Submit(full ? real : missing).ok()) << "request " << i;
+    while (true) {
+      auto window = client->Next();
+      ASSERT_TRUE(window.ok()) << "request " << i << ": "
+                               << window.status().message();
+      if (!window->has_value()) {
+        break;
+      }
+    }
+    ASSERT_EQ(client->result_status().code(),
+              full ? StatusCode::kOk : StatusCode::kNotFound)
+        << "request " << i << ": " << client->result_status().message();
+  }
+  stall->Disarm();
+#if DANGORON_FAILPOINTS_ENABLED
+  EXPECT_EQ(stall->hits() - stalls_before, 100);
+#endif
+
+  wire.Stop();
+  const WireServerStats stats = wire.stats();
+  EXPECT_EQ(stats.requests, 500);
+  EXPECT_EQ(stats.protocol_errors, 0);
 }
 
 TEST_F(WireE2ETest, DisconnectMidStreamCancelsProducer) {

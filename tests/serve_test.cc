@@ -216,6 +216,127 @@ TEST(DangoronServerTest, IdenticalDataSharesOnePrepareAcrossNames) {
   EXPECT_EQ(server.stats().prepares_built, 1);
 }
 
+// ------------------------------------------------------ range sketches --
+//
+// A pair-restricted query (a router shard's slice) prepares a sketch of
+// only its pair rows. A resident full sketch answers every range; a range
+// sketch answers only its own.
+
+SlidingQuery RangeQuery(int64_t b, int64_t pair_begin, int64_t pair_end,
+                        double threshold = 0.3) {
+  SlidingQuery query = MakeQuery(0, b * 30, b * 5, b, threshold);
+  query.pair_begin = pair_begin;
+  query.pair_end = pair_end;
+  return query;
+}
+
+DangoronServerOptions RangeServerOptions(int64_t b) {
+  DangoronServerOptions options;
+  options.basic_window = b;
+  options.num_threads = 2;
+  return options;
+}
+
+TEST(RangeSketchTest, WarmFullSketchServesSubRangeWithoutBuild) {
+  const int64_t b = 8;
+  TimeSeriesMatrix data = SmallClimate(12, b * 30, 4101);  // 66 pairs
+  DangoronServer server(RangeServerOptions(b));
+  ASSERT_TRUE(server.AddDataset("d", data).ok());
+
+  ASSERT_TRUE(server.Query("d", RangeQuery(b, 0, 0)).ok());
+  const DangoronServerStats before = server.stats();
+  EXPECT_EQ(before.prepares_built, 1);
+
+  const SlidingQuery sub = RangeQuery(b, 13, 47);
+  EXPECT_TRUE(server.HasPreparedSketch("d", sub));
+  auto result = server.Query("d", sub);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->prepared_from_cache);
+  ExpectSeriesEqual(NaiveTruth(data, sub), result->series, 1e-8);
+  const DangoronServerStats after = server.stats();
+  EXPECT_EQ(after.prepares_built, 1);
+  EXPECT_EQ(after.prepares_shared, before.prepares_shared + 1);
+  EXPECT_EQ(after.sketch_cache.entries, 1);  // no range sketch added
+}
+
+TEST(RangeSketchTest, RangeSketchServesOnlyItsOwnRange) {
+  const int64_t b = 8;
+  TimeSeriesMatrix data = SmallClimate(12, b * 30, 4102);
+  DangoronServer server(RangeServerOptions(b));
+  ASSERT_TRUE(server.AddDataset("d", data).ok());
+  DangoronServer reference(RangeServerOptions(b));  // full sketch only
+  ASSERT_TRUE(reference.AddDataset("d", data).ok());
+  ASSERT_TRUE(reference.Query("d", RangeQuery(b, 0, 0)).ok());
+
+  // Built once, then shared by its own range at another threshold.
+  const SlidingQuery range = RangeQuery(b, 20, 44);
+  for (const double threshold : {0.3, 0.5}) {
+    SlidingQuery query = range;
+    query.threshold = threshold;
+    auto result = server.Query("d", query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto expected = reference.Query("d", query);
+    ASSERT_TRUE(expected.ok());
+    ExpectSeriesEqual(expected->series, result->series, 0.0);  // bit-exact
+  }
+  EXPECT_EQ(server.stats().prepares_built, 1);
+  EXPECT_EQ(server.stats().prepares_shared, 1);
+  BasicWindowIndexOptions index_options;
+  index_options.basic_window = b;
+  index_options.pair_begin = 20;
+  index_options.pair_end = 44;
+  EXPECT_EQ(server.stats().sketch_cache.bytes,
+            BasicWindowIndex::EstimateMemoryBytes(12, b * 30, index_options) +
+                static_cast<int64_t>(data.values().size() * sizeof(double)));
+
+  // Another range, a sub-range, an overlapping range and the full range
+  // each need their own sketch.
+  int64_t built = 1;
+  for (const auto& [lo, hi] : {std::pair<int64_t, int64_t>{44, 66},
+                               {24, 40},
+                               {10, 30},
+                               {0, 0}}) {
+    const SlidingQuery query = RangeQuery(b, lo, hi);
+    EXPECT_FALSE(server.HasPreparedSketch("d", query));
+    auto result = server.Query("d", query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(result->prepared_from_cache) << "[" << lo << "," << hi << ")";
+    EXPECT_EQ(server.stats().prepares_built, ++built);
+    ExpectSeriesEqual(NaiveTruth(data, query), result->series, 1e-8);
+  }
+  // A restriction covering every pair is the full sketch's key.
+  auto covering = server.Query("d", RangeQuery(b, 0, 1000));
+  ASSERT_TRUE(covering.ok());
+  EXPECT_TRUE(covering->prepared_from_cache);
+  EXPECT_EQ(server.stats().prepares_built, built);
+}
+
+TEST(RangeSketchTest, ConcurrentIdenticalRangeRequestsDedupToOneBuild) {
+  const int64_t b = 8;
+  TimeSeriesMatrix data = SmallClimate(40, b * 60, 4103);  // 780 pairs
+  DangoronServerOptions options = RangeServerOptions(b);
+  options.num_threads = 4;
+  DangoronServer server(options);
+  ASSERT_TRUE(server.AddDataset("d", data).ok());
+
+  SlidingQuery query = RangeQuery(b, 200, 500);
+  query.end = b * 60;
+  std::vector<std::future<Result<ServeResult>>> futures;
+  for (int r = 0; r < 8; ++r) {
+    futures.push_back(server.Submit("d", query));
+  }
+  const CorrelationMatrixSeries truth = NaiveTruth(data, query);
+  for (auto& future : futures) {
+    auto result = future.get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectSeriesEqual(truth, result->series, 1e-8);
+  }
+  const DangoronServerStats stats = server.stats();
+  EXPECT_EQ(stats.prepares_built, 1);
+  EXPECT_EQ(stats.prepares_shared, 7);
+  EXPECT_EQ(stats.sketch_cache.entries, 1);
+}
+
 // ------------------------------------------------- concurrency stress -----
 
 // N concurrent submissions, identical and overlapping, against a small

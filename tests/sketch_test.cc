@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "corr/pearson.h"
+#include "engine/dangoron_engine.h"
 #include "sketch/basic_window_index.h"
 #include "ts/generators.h"
 
@@ -262,6 +266,179 @@ TEST(BasicWindowIndexTest, MemoryAccounting) {
   ASSERT_TRUE(without_pairs.ok());
   EXPECT_GT(with_pairs->MemoryBytes(), without_pairs->MemoryBytes());
   EXPECT_GT(without_pairs->MemoryBytes(), 0);
+}
+
+// --------------------------------------------------------- pair ranges --
+
+// Pair-range builds. 110 series make three 48-series Gram tiles, the last
+// ragged (14 rows: a row-group remainder), and 21 basic windows end in a
+// ragged 5-window batch, so every kernel tail is exercised.
+constexpr int64_t kRangeSeries = 110;
+constexpr int64_t kRangeBasicWindow = 24;
+constexpr int64_t kRangeWindows = 21;
+
+TimeSeriesMatrix RangeTestData() {
+  Rng rng(42);
+  return GenerateWhiteNoise(kRangeSeries, kRangeBasicWindow * kRangeWindows,
+                            &rng);
+}
+
+BasicWindowIndexOptions RangeOptions(int64_t pair_begin, int64_t pair_end) {
+  BasicWindowIndexOptions options;
+  options.basic_window = kRangeBasicWindow;
+  options.pair_begin = pair_begin;
+  options.pair_end = pair_end;
+  return options;
+}
+
+// Ranges that cut mid-row, mid-tile (and mid 8-pair group), hold a single
+// pair, are empty, or over-shoot the pair count.
+std::vector<std::pair<int64_t, int64_t>> RangeCuts() {
+  const int64_t n = kRangeSeries;
+  const int64_t num_pairs = n * (n - 1) / 2;
+  return {
+      {BasicWindowIndex::PairId(3, 50, n), BasicWindowIndex::PairId(7, 20, n)},
+      {BasicWindowIndex::PairId(50, 53, n) + 3,
+       BasicWindowIndex::PairId(61, 100, n) + 5},
+      {BasicWindowIndex::PairId(97, 99, n),
+       BasicWindowIndex::PairId(105, 109, n)},
+      {777, 778},
+      {400, 400},
+      {num_pairs - 1000, num_pairs + 12345},
+      {0, 1},
+  };
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(PairRangeIndexTest, RangeRowsAreBitIdenticalToFullBuild) {
+  const TimeSeriesMatrix data = RangeTestData();
+  const int64_t num_pairs = kRangeSeries * (kRangeSeries - 1) / 2;
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    for (const bool blocked : {true, false}) {
+      BasicWindowIndexOptions full_options = RangeOptions(0, 0);
+      full_options.use_blocked_kernel = blocked;
+      const auto full = BasicWindowIndex::Build(data, full_options, &pool);
+      ASSERT_TRUE(full.ok());
+      ASSERT_TRUE(full->HasAllPairs());
+      for (const auto& [begin, end] : RangeCuts()) {
+        BasicWindowIndexOptions options = RangeOptions(begin, end);
+        options.use_blocked_kernel = blocked;
+        const auto range = BasicWindowIndex::Build(data, options, &pool);
+        ASSERT_TRUE(range.ok());
+        const int64_t lo = std::min(begin, num_pairs);
+        const int64_t hi = std::min(end, num_pairs);
+        EXPECT_EQ(range->pair_begin(), lo);
+        EXPECT_EQ(range->pair_end(), hi);
+        EXPECT_TRUE(range->CoversPairs(lo, hi));
+        EXPECT_FALSE(range->HasAllPairs());
+        EXPECT_EQ(BasicWindowIndex::EstimateMemoryBytes(
+                      kRangeSeries, data.length(), options),
+                  range->MemoryBytes());
+        const int64_t stride = full->PairDotRowStride();
+        ASSERT_EQ(range->PairDotRowStride(), stride);
+        for (int64_t p = lo; p < hi; ++p) {
+          for (int64_t w = 0; w <= kRangeWindows; ++w) {
+            ASSERT_EQ(Bits(range->PairDotPrefix()[(p - lo) * stride + w]),
+                      Bits(full->PairDotPrefix()[p * stride + w]))
+                << "threads=" << threads << " blocked=" << blocked
+                << " range [" << begin << "," << end << ") pair " << p
+                << " slot " << w;
+            if (w < kRangeWindows) {
+              ASSERT_EQ(Bits(range->OneMinusCorrRange(p, 0, w + 1)),
+                        Bits(full->OneMinusCorrRange(p, 0, w + 1)))
+                  << "pair " << p << " slot " << w + 1;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PairRangeIndexTest, MemoryIsTheRangeShare) {
+  const TimeSeriesMatrix data = RangeTestData();
+  const auto full = BasicWindowIndex::Build(data, RangeOptions(0, 0));
+  const auto quarter = BasicWindowIndex::Build(data, RangeOptions(0, 5995 / 4));
+  const auto empty = BasicWindowIndex::Build(data, RangeOptions(9, 9));
+  ASSERT_TRUE(full.ok() && quarter.ok() && empty.ok());
+  // Series prefixes stay full; the pair rows shrink with the range.
+  const int64_t series_bytes =
+      2 * kRangeSeries * (kRangeWindows + 1) * int64_t{sizeof(double)};
+  EXPECT_EQ(empty->MemoryBytes(), series_bytes);
+  const int64_t pair_row_bytes = (full->MemoryBytes() - series_bytes) / 5995;
+  EXPECT_EQ(pair_row_bytes * 5995, full->MemoryBytes() - series_bytes);
+  EXPECT_EQ(quarter->MemoryBytes() - series_bytes,
+            pair_row_bytes * (5995 / 4));
+  EXPECT_FALSE(BasicWindowIndex::Build(data, RangeOptions(-1, 5)).ok());
+}
+
+TEST(PairRangeIndexTest, UncoveredQueriesAndPivotScansAreRefused) {
+  const TimeSeriesMatrix data = RangeTestData();
+  const int64_t n = kRangeSeries;
+  const int64_t begin = BasicWindowIndex::PairId(3, 50, n);
+  const int64_t end = BasicWindowIndex::PairId(20, 21, n);
+  const auto full = BasicWindowIndex::Build(data, RangeOptions(0, 0));
+  const auto range = BasicWindowIndex::Build(data, RangeOptions(begin, end));
+  ASSERT_TRUE(full.ok() && range.ok());
+
+  DangoronOptions options;
+  options.basic_window = kRangeBasicWindow;
+  options.enable_jumping = false;
+  SlidingQuery query;
+  query.start = 0;
+  query.end = data.length();
+  query.window = 4 * kRangeBasicWindow;
+  query.step = kRangeBasicWindow;
+  query.threshold = 0.2;
+  query.absolute = true;
+
+  // Inside the range: both tiers answer exactly as the full index does.
+  query.pair_begin = begin + 10;
+  query.pair_end = end;
+  for (const bool jumping : {false, true}) {
+    options.enable_jumping = jumping;
+    const auto from_full = DangoronEngine::QueryPrepared(options, *full, query,
+                                                         nullptr, nullptr);
+    const auto from_range = DangoronEngine::QueryPrepared(
+        options, *range, query, nullptr, nullptr);
+    ASSERT_TRUE(from_full.ok() && from_range.ok())
+        << from_range.status().message();
+    ASSERT_EQ(from_full->num_windows(), from_range->num_windows());
+    for (int64_t k = 0; k < from_full->num_windows(); ++k) {
+      const auto a = from_full->WindowEdges(k);
+      const auto b = from_range->WindowEdges(k);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "window " << k;
+    }
+  }
+  options.enable_jumping = false;
+
+  // Outside the range — past either end, or unrestricted — is an error.
+  for (const auto& [lo, hi] : {std::pair<int64_t, int64_t>{begin - 1, end},
+                               {begin, end + 1},
+                               {0, 0}}) {
+    query.pair_begin = lo;
+    query.pair_end = hi;
+    const auto refused = DangoronEngine::QueryPrepared(options, *range, query,
+                                                       nullptr, nullptr);
+    ASSERT_FALSE(refused.ok()) << "[" << lo << "," << hi << ")";
+    EXPECT_EQ(refused.status().code(), StatusCode::kOutOfRange);
+  }
+
+  // A pivot scan reads pairs (z, s) outside any range.
+  query.pair_begin = begin;
+  query.pair_end = end;
+  options.horizontal_pruning = true;
+  options.num_pivots = 2;
+  const auto pivots = DangoronEngine::QueryPrepared(options, *range, query,
+                                                    nullptr, nullptr);
+  ASSERT_FALSE(pivots.ok());
+  EXPECT_EQ(pivots.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(DangoronEngine::QueryPrepared(options, *full, query, nullptr,
+                                            nullptr)
+                  .ok());
 }
 
 }  // namespace
