@@ -5,69 +5,58 @@
 
 namespace dangoron {
 
-int64_t TemporalBound::MaxSkippableBelow(int64_t pair_id, int64_t w0,
-                                         double corr, double beta,
-                                         int64_t max_steps) const {
-  if (max_steps <= 0 || UpperBound(pair_id, w0, corr, 1) >= beta) {
-    return 0;
-  }
-  // Invariant: UpperBound(lo) < beta <= UpperBound(hi) (hi may be
-  // max_steps + 1 meaning "all steps skippable").
-  int64_t lo = 1;
-  int64_t hi = max_steps + 1;
-  while (lo + 1 < hi) {
-    const int64_t mid = lo + (hi - lo) / 2;
-    if (UpperBound(pair_id, w0, corr, mid) < beta) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
+namespace {
 
-int64_t TemporalBound::MaxSkippableAbove(int64_t pair_id, int64_t w0,
-                                         double corr, double beta,
-                                         int64_t max_steps) const {
-  if (max_steps <= 0 || LowerBound(pair_id, w0, corr, 1) < beta) {
+// Largest j in [1, max_steps] with pred(1..j) all true, for a predicate
+// that holds on a prefix of the steps (see bounds.h).
+template <typename Pred>
+int64_t LongestTruePrefix(int64_t max_steps, const Pred& pred) {
+  if (max_steps <= 0 || !pred(1)) {
     return 0;
   }
-  // LowerBound is monotone non-increasing in j (each step subtracts a
-  // non-negative amount), so the same binary search applies mirrored.
-  int64_t lo = 1;
-  int64_t hi = max_steps + 1;
-  while (lo + 1 < hi) {
-    const int64_t mid = lo + (hi - lo) / 2;
-    if (LowerBound(pair_id, w0, corr, mid) >= beta) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-int64_t TemporalBound::MaxSkippableWithin(int64_t pair_id, int64_t w0,
-                                          double corr, double lo, double hi,
-                                          int64_t max_steps) const {
-  const auto confined = [&](int64_t j) {
-    return UpperBound(pair_id, w0, corr, j) < hi &&
-           LowerBound(pair_id, w0, corr, j) > lo;
-  };
-  if (max_steps <= 0 || !confined(1)) {
-    return 0;
-  }
+  // Invariant: pred(ok) holds; pred(bad) fails or bad == max_steps + 1.
   int64_t ok = 1;
   int64_t bad = max_steps + 1;
   while (ok + 1 < bad) {
     const int64_t mid = ok + (bad - ok) / 2;
-    if (confined(mid)) {
+    if (pred(mid)) {
       ok = mid;
     } else {
       bad = mid;
     }
   }
   return ok;
+}
+
+}  // namespace
+
+int64_t TemporalBound::MaxSkippableBelow(int64_t pair_id, int64_t w0,
+                                         double corr, double beta,
+                                         int64_t max_steps) const {
+  const Lane omc = index_->PairOneMinusCorrLane(pair_id);
+  return LongestTruePrefix(max_steps, [&](int64_t j) {
+    return UpperAt(omc, w0, corr, j) < beta;
+  });
+}
+
+int64_t TemporalBound::MaxSkippableAbove(int64_t pair_id, int64_t w0,
+                                         double corr, double beta,
+                                         int64_t max_steps) const {
+  // LowerBound is monotone non-increasing in j (each step subtracts a
+  // non-negative amount).
+  const Lane omc = index_->PairOneMinusCorrLane(pair_id);
+  return LongestTruePrefix(max_steps, [&](int64_t j) {
+    return LowerAt(omc, w0, corr, j) >= beta;
+  });
+}
+
+int64_t TemporalBound::MaxSkippableWithin(int64_t pair_id, int64_t w0,
+                                          double corr, double lo, double hi,
+                                          int64_t max_steps) const {
+  const Lane omc = index_->PairOneMinusCorrLane(pair_id);
+  return LongestTruePrefix(max_steps, [&](int64_t j) {
+    return UpperAt(omc, w0, corr, j) < hi && LowerAt(omc, w0, corr, j) > lo;
+  });
 }
 
 HorizontalBound HorizontalBoundFromPivot(double c_xz, double c_yz) {

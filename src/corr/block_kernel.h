@@ -31,6 +31,11 @@ inline constexpr int64_t kCorrTile = 48;
 /// full-tile call; a pair-range index build relies on this.
 inline constexpr int64_t kGramRowGroup = 4;
 
+/// Pairs per octet of the sketch's pair-prefix layout: prefix slot w of 8
+/// consecutive pairs is one 64-byte line, one Vec8 (see BasicWindowIndex).
+/// It is also the distance in doubles between one pair's consecutive slots.
+inline constexpr int64_t kPairOctet = 8;
+
 /// 8-wide double vector of the hot kernels (GCC/Clang vector extension).
 /// Explicit vector accumulators are what keep the micro-kernels
 /// register-resident: the equivalent local-array loops auto-vectorize but
@@ -66,35 +71,20 @@ inline void StreamFence() {
 #endif
 }
 
-/// In-register 8x8 transpose: on return r[j][i] holds the old r[i][j].
-/// Lets producers of 8-wide columns emit full contiguous rows (one cache
-/// line each) without bouncing scalars through a staging buffer — partial
-/// reloads of a just-stored vector stall on failed store-to-load forwarding.
-inline void Transpose8x8(Vec8 r[8]) {
-  const Vec8 a0 = __builtin_shufflevector(r[0], r[1], 0, 8, 2, 10, 4, 12, 6, 14);
-  const Vec8 a1 = __builtin_shufflevector(r[0], r[1], 1, 9, 3, 11, 5, 13, 7, 15);
-  const Vec8 a2 = __builtin_shufflevector(r[2], r[3], 0, 8, 2, 10, 4, 12, 6, 14);
-  const Vec8 a3 = __builtin_shufflevector(r[2], r[3], 1, 9, 3, 11, 5, 13, 7, 15);
-  const Vec8 a4 = __builtin_shufflevector(r[4], r[5], 0, 8, 2, 10, 4, 12, 6, 14);
-  const Vec8 a5 = __builtin_shufflevector(r[4], r[5], 1, 9, 3, 11, 5, 13, 7, 15);
-  const Vec8 a6 = __builtin_shufflevector(r[6], r[7], 0, 8, 2, 10, 4, 12, 6, 14);
-  const Vec8 a7 = __builtin_shufflevector(r[6], r[7], 1, 9, 3, 11, 5, 13, 7, 15);
-  const Vec8 b0 = __builtin_shufflevector(a0, a2, 0, 1, 8, 9, 4, 5, 12, 13);
-  const Vec8 b1 = __builtin_shufflevector(a1, a3, 0, 1, 8, 9, 4, 5, 12, 13);
-  const Vec8 b2 = __builtin_shufflevector(a0, a2, 2, 3, 10, 11, 6, 7, 14, 15);
-  const Vec8 b3 = __builtin_shufflevector(a1, a3, 2, 3, 10, 11, 6, 7, 14, 15);
-  const Vec8 b4 = __builtin_shufflevector(a4, a6, 0, 1, 8, 9, 4, 5, 12, 13);
-  const Vec8 b5 = __builtin_shufflevector(a5, a7, 0, 1, 8, 9, 4, 5, 12, 13);
-  const Vec8 b6 = __builtin_shufflevector(a4, a6, 2, 3, 10, 11, 6, 7, 14, 15);
-  const Vec8 b7 = __builtin_shufflevector(a5, a7, 2, 3, 10, 11, 6, 7, 14, 15);
-  r[0] = __builtin_shufflevector(b0, b4, 0, 1, 2, 3, 8, 9, 10, 11);
-  r[1] = __builtin_shufflevector(b1, b5, 0, 1, 2, 3, 8, 9, 10, 11);
-  r[2] = __builtin_shufflevector(b2, b6, 0, 1, 2, 3, 8, 9, 10, 11);
-  r[3] = __builtin_shufflevector(b3, b7, 0, 1, 2, 3, 8, 9, 10, 11);
-  r[4] = __builtin_shufflevector(b0, b4, 4, 5, 6, 7, 12, 13, 14, 15);
-  r[5] = __builtin_shufflevector(b1, b5, 4, 5, 6, 7, 12, 13, 14, 15);
-  r[6] = __builtin_shufflevector(b2, b6, 4, 5, 6, 7, 12, 13, 14, 15);
-  r[7] = __builtin_shufflevector(b3, b7, 4, 5, 6, 7, 12, 13, 14, 15);
+/// Stores the lanes of `v` selected by bit l of `lanes` to p[l], leaving
+/// the other doubles of p untouched: the partial store of a line whose
+/// other lanes belong to another writer (possibly another thread).
+inline void MaskedStoreVec8(double* p, Vec8 v, unsigned lanes) {
+#if defined(__AVX512F__)
+  _mm512_mask_storeu_pd(p, static_cast<__mmask8>(lanes),
+                        reinterpret_cast<__m512d>(v));
+#else
+  for (int l = 0; l < 8; ++l) {
+    if ((lanes >> l) & 1u) {
+      p[l] = v[l];
+    }
+  }
+#endif
 }
 
 /// Per-basic-window z-normalized copy of a TimeSeriesMatrix, the data layout

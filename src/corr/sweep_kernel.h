@@ -17,30 +17,30 @@ namespace dangoron {
 /// independent).
 inline constexpr int64_t kSweepTilePairs = 1024;
 
-/// Windows swept per pass over the pair tiles. Pure window-major order
-/// (band 1) re-streams every pair's dot-prefix cache lines once per window,
-/// which is memory-bound at N >= 256: the whole prefix block re-enters the
-/// core per window. A band keeps each pair's two prefix lines L1-resident
-/// across `kSweepWindowBand` windows (traffic divided by the band) while
-/// windows are still emitted at band cadence — time-to-first-window is
-/// band/num_windows of the sweep instead of 1.0. 16 windows x 2 lines is
-/// well inside L1 next to the streamed moment rows; measured on
-/// bench_query_time it restores the compute-bound per-cell cost of the
-/// small-N regime (band 1: ~1.3x over scalar at N=256; band 16: ~2.8x).
-inline constexpr int64_t kSweepWindowBand = 16;
+/// Windows swept per pass over the pair tiles; windows are emitted at band
+/// cadence, so time-to-first-window is band/num_windows of the sweep. The
+/// band loop sits inside each 8-pair octet, whose slot lines are distinct
+/// per window: a band saves no prefix traffic, it amortizes the octet's
+/// per-pass overhead (pointer set-up, prefetch, tile dispatch) over its
+/// windows. Measured on bench_query_time (single thread, 61 windows,
+/// n = 256 / 512): band 1 3.8 / 29.0 ms, band 4 2.7 / 18.6, band 8
+/// 2.5 / 17.9, band 16 2.5 / 18.9, band 32 2.8 / 19.7. Band 8 is as fast as
+/// any and halves band 16's time-to-first-window.
+inline constexpr int64_t kSweepWindowBand = 8;
 
 /// Immutable per-query view the exact sweep kernel reads: the index's
-/// padded pair dot-prefix block plus the engine's hoisted range moments
-/// (see DangoronEngine::QueryPreparedToSink). Prefix slot w of pair p sits
-/// at `dot_prefix[(p - pair_base) * row_stride + w]`
-/// (BasicWindowIndex::PairDotPrefix / PairDotRowStride / pair_begin — a
-/// range-built index stores rows from its first pair on); callers pass
-/// global pair ids. `range_sum` / `range_inv_css` are window-major
-/// `[k * num_series + s]` — the query-range sum and reciprocal centered
-/// root-sum-of-squares (0 for degenerate series) of series s in window k.
+/// octet-interleaved pair dot-prefix block plus the engine's hoisted range
+/// moments (see DangoronEngine::QueryPreparedToSink). Prefix slot w of pair
+/// p sits at `dot_prefix[(q / 8) * octet_stride + 8 * w + q % 8]` with
+/// q = p - pair_base (BasicWindowIndex::PairDotPrefix / PairOctetStride /
+/// pair_begin — a range-built index stores octets from its first pair on);
+/// callers pass global pair ids. `range_sum` / `range_inv_css` are
+/// window-major `[k * num_series + s]` — the query-range sum and reciprocal
+/// centered root-sum-of-squares (0 for degenerate series) of series s in
+/// window k.
 struct SweepView {
   const double* dot_prefix = nullptr;
-  int64_t row_stride = 0;
+  int64_t octet_stride = 0;
   int64_t pair_base = 0;
   const double* range_sum = nullptr;
   const double* range_inv_css = nullptr;
@@ -62,15 +62,16 @@ struct SweepView {
 ///
 /// `i0` / `j0` are the series ids of `pair_begin` (callers already know
 /// them from BasicWindowIndex::PairFromId; corr/ stays below sketch/ in the
-/// layering). Within a fixed-i run the pair ids — and with them the dot
-/// prefix rows — advance contiguously and the j-side moments are contiguous
-/// loads, so the run vectorizes: two strided prefix loads, one fused
-/// subtract, two multiplies and a clamp per lane, then one branch-free
-/// threshold compare per 8-lane group. The window loop sits *inside* the
-/// 8-pair group so the group's prefix lines are reused across the whole
-/// band. Per-cell arithmetic is the exact operation sequence of the scalar
-/// pair-major cell (DangoronEngine's jumping loop), so the two paths
-/// produce bit-identical edges.
+/// layering). The range is walked octet by octet along the index's octet
+/// grid: an octet whose 8 pairs share one fixed-i run (so the j-side
+/// moments are contiguous loads) vectorizes — two aligned slot-line loads,
+/// one fused subtract, two multiplies and a clamp per lane, then one
+/// branch-free threshold compare per 8-lane group. An octet cut by a row
+/// boundary or by the range's ends takes a lane-exact scalar cell per pair.
+/// The window loop sits *inside* the octet so its slot lines are reused
+/// across the whole band. Per-cell arithmetic is the exact operation
+/// sequence of the scalar pair-major cell (DangoronEngine's jumping loop),
+/// so the two paths produce bit-identical edges.
 void SweepWindowBandPairRange(const SweepView& view, int64_t base_w0,
                               int64_t ns, int64_t m, int64_t k_begin,
                               int64_t k_end, int64_t pair_begin,

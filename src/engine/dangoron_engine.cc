@@ -16,14 +16,15 @@ namespace {
 // The scalar exact cell both scalar paths (pair-major loop, window-major
 // pruned leg) share — and whose operation sequence the vectorized sweep
 // kernel mirrors lane for lane: one definition, so the bit-identity
-// contract between the paths cannot drift. `sums` / `invs` point at the
-// window's row of the hoisted moment arrays.
-inline double ExactCellCorrelation(const BasicWindowIndex& index, int64_t pair,
-                                   int64_t w0, int64_t ns, const double* sums,
+// contract between the paths cannot drift. `dot` is the pair's hoisted
+// lane of the dot prefix; `sums` / `invs` point at the window's row of the
+// hoisted moment arrays.
+inline double ExactCellCorrelation(BasicWindowIndex::PairLane dot, int64_t w0,
+                                   int64_t ns, const double* sums,
                                    const double* invs, double inv_count,
                                    int64_t i, int64_t j) {
   const double cov =
-      index.DotRange(pair, w0, w0 + ns) - sums[i] * sums[j] * inv_count;
+      (dot[w0 + ns] - dot[w0]) - sums[i] * sums[j] * inv_count;
   return ClampCorrelation(cov * invs[i] * invs[j]);
 }
 
@@ -79,6 +80,20 @@ void ProcessPairBlock(const DangoronOptions& options,
     BasicWindowIndex::PairFromId(pair_begin, n, &i, &j);
   }
   for (int64_t pair = pair_begin; pair < pair_end; ++pair) {
+    // Consecutive pairs share octet lines, so the walk of pair + 1 mostly
+    // reads lines this pair's walk already brought in. The lines the next
+    // octet's walks open with are fetched ahead.
+    const BasicWindowIndex::PairLane dot = index.PairDotLane(pair);
+    if (pair + kPairOctet < pair_end) {
+      const BasicWindowIndex::PairLane next_dot =
+          index.PairDotLane(pair + kPairOctet);
+      const BasicWindowIndex::PairLane next_omc =
+          index.PairOneMinusCorrLane(pair + kPairOctet);
+      __builtin_prefetch(next_dot.Slot(base_w0));
+      __builtin_prefetch(next_dot.Slot(base_w0 + ns));
+      __builtin_prefetch(next_omc.Slot(base_w0));
+      __builtin_prefetch(next_omc.Slot(base_w0 + m));
+    }
     int64_t k = 0;
     while (k < num_windows) {
       const int64_t w0 = base_w0 + k * m;
@@ -93,7 +108,7 @@ void ProcessPairBlock(const DangoronOptions& options,
       // O(1) exact range correlation from the dot prefix and the hoisted
       // moments: no divide or sqrt per cell.
       const double corr = ExactCellCorrelation(
-          index, pair, w0, ns, range_sum.data() + k * n,
+          dot, w0, ns, range_sum.data() + k * n,
           range_inv_css.data() + k * n, inv_count, i, j);
       ++local_stats->cells_evaluated;
 
@@ -163,12 +178,12 @@ void ProcessPairBlock(const DangoronOptions& options,
 // pruning is on), then each of the band's windows is assembled flat —
 // already sorted — and emitted in order. The engine itself streams:
 // OnWindow(0) leaves after band/num_windows of the sweep instead of after
-// all of it, while the band keeps each pair's dot-prefix cache lines hot
-// across its windows (pure per-window order is memory-bound at N >= 256;
-// see kSweepWindowBand). The tile decomposition is fixed (kSweepTilePairs),
-// not thread-derived, and cells are independent, so results are identical
-// for every thread count — and bit-identical to the pair-major scalar loop
-// (the kernel mirrors its per-cell operation sequence exactly).
+// all of it, while the band amortizes each octet's per-pass overhead over
+// its windows (see kSweepWindowBand). The tile decomposition is fixed
+// (kSweepTilePairs), not thread-derived, and cells are independent, so
+// results are identical for every thread count — and bit-identical to the
+// pair-major scalar loop (the kernel mirrors its per-cell operation
+// sequence exactly).
 Status RunWindowMajorSweep(const DangoronOptions& options,
                            const BasicWindowIndex& index,
                            const SlidingQuery& query, ThreadPool* pool,
@@ -203,7 +218,7 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
 
   SweepView view;
   view.dot_prefix = index.PairDotPrefix();
-  view.row_stride = index.PairDotRowStride();
+  view.octet_stride = index.PairOctetStride();
   view.pair_base = index.pair_begin();
   view.range_sum = range_sum.data();
   view.range_inv_css = range_inv_css.data();
@@ -252,6 +267,7 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
       // helpers as the pair-major loop, visited in window-major order for
       // the streaming emission.
       for (int64_t pair = pair_begin; pair < pair_end; ++pair) {
+        const BasicWindowIndex::PairLane dot = index.PairDotLane(pair);
         for (int64_t k = band_begin; k < band_end; ++k) {
           if (HorizontallyPruned(pivot_corrs.data() + k * P * n, P, n, beta,
                                  query.absolute, i, j)) {
@@ -259,7 +275,7 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
             continue;
           }
           const double corr = ExactCellCorrelation(
-              index, pair, base_w0 + k * m, ns, range_sum.data() + k * n,
+              dot, base_w0 + k * m, ns, range_sum.data() + k * n,
               range_inv_css.data() + k * n, inv_count, i, j);
           ++local->cells_evaluated;
           if (query.IsEdge(corr)) {
@@ -540,10 +556,11 @@ Status DangoronEngine::QueryPreparedToSink(
     stats->jumps += s.jumps;
   }
 
-  // Emit windows in order: deterministic merge in block order, then the
-  // canonical (i, j) sort — per window, so each window leaves as soon as it
-  // is assembled instead of after the whole series is stitched. Pairs are
-  // unique within a window, so the unstable sort is deterministic.
+  // Emit windows in order, each as soon as it is assembled instead of
+  // after the whole series is stitched. Blocks cover ascending pair ranges
+  // and each appends its pairs in ascending order (a jump's skipped windows
+  // are filled by the pair being walked, after every smaller pair), so the
+  // concatenation in block order is already the canonical (i, j) order.
   for (int64_t k = 0; k < num_windows; ++k) {
     std::vector<Edge> window;
     if (num_blocks == 1) {
@@ -559,7 +576,6 @@ Status DangoronEngine::QueryPreparedToSink(
         window.insert(window.end(), edges.begin(), edges.end());
       }
     }
-    std::sort(window.begin(), window.end(), EdgeOrder);
     if (!sink->OnWindow(k, std::move(window))) {
       return FinishCancelled(sink, "DangoronEngine", k);
     }

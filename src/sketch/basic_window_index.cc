@@ -249,13 +249,12 @@ Result<BasicWindowIndex> BasicWindowIndex::Build(
     return index;
   }
 
-  // Pair rows: pad + round the stride to a multiple of 8 doubles so the
-  // build's 8-window batch stores are full aligned cache lines; bases are
-  // aligned up to 64 bytes inside a slightly oversized allocation drawn
-  // from the storage recycler.
-  index.pair_row_stride_ = (nb + 1 + kPairRowPad + 7) / 8 * 8;
+  // Pair octets: whole octets of nb + 1 slot lines each, the base aligned
+  // up to 64 bytes inside a slightly oversized allocation drawn from the
+  // storage recycler.
   index.pair_prefix_size_ = static_cast<size_t>(
-      (index.pair_end_ - index.pair_begin_) * index.pair_row_stride_);
+      CeilDiv(index.pair_end_ - index.pair_begin_, kPairOctet) *
+      index.PairOctetStride());
   constexpr size_t kAlignSlack = 7;  // doubles; one cache line of headroom
   index.pair_storage_size_ = index.pair_prefix_size_ + kAlignSlack;
   index.pair_dot_storage_ =
@@ -347,20 +346,26 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
   // running prefix of every pair it owns in an L1-resident accumulator
   // block, so each prefix slot is written exactly once, in its final form.
   // Windows are processed in batches of kWinBatch: the batch's Gram planes
-  // are computed first, then each pair's kWinBatch prefix slots leave as
-  // one contiguous (single cache line) write through an in-register 8x8
-  // transpose. Every (pair, window) slot is written by exactly one task and
-  // the per-cell arithmetic is independent of the decomposition, so any
-  // thread count produces bit-identical sketches.
+  // are computed first, then each 8-pair group on the octet grid folds the
+  // batch into its running prefixes, one Vec8 per window — which is exactly
+  // one octet slot line, so a group's batch leaves as one contiguous run of
+  // kWinBatch full lines. Every (pair, window) slot is written by exactly
+  // one task and the per-cell arithmetic is independent of the
+  // decomposition and of the lane a pair lands in, so any thread count
+  // produces bit-identical sketches.
   //
   // A pair-range build stores only pairs [pair_begin_, pair_end_): tasks
   // owning none of them are skipped, and a task restricts its Gram calls to
   // the row span owning stored pairs, widened to whole kGramRowGroup groups
   // of the tile (so every cell takes the full build's kernel path), and its
-  // flush to the stored pairs while keeping the 8-pair groups anchored
-  // where the full build anchors them. Stored rows are therefore
-  // bit-identical to the full build's.
+  // flush to the stored pairs. Stored slots are therefore bit-identical to
+  // the full build's.
   constexpr int64_t kWinBatch = 8;
+  // Octet-anchored groups start up to 7 lanes before a row's stored run and
+  // end up to 7 past it; the tile-local buffers carry this much zeroed
+  // slack on both sides so those lanes read in bounds. Their results are
+  // never stored.
+  constexpr int64_t kLanePad = kPairOctet;
   const int64_t num_row_tiles = panels.num_tiles;
   std::vector<std::pair<int64_t, int64_t>> tile_pairs;
   tile_pairs.reserve(
@@ -416,39 +421,39 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
         row_end, row_begin + CeilDiv(live_end - row_begin, kGramRowGroup) *
                                  kGramRowGroup);
 
-    double acc_dot[kCorrTile * kCorrTile];
-    double acc_omc[kCorrTile * kCorrTile];
+    double acc_dot_buf[kCorrTile * kCorrTile + 2 * kLanePad] = {};
+    double acc_omc_buf[kCorrTile * kCorrTile + 2 * kLanePad] = {};
+    double* const acc_dot = acc_dot_buf + kLanePad;
+    double* const acc_omc = acc_omc_buf + kLanePad;
     // Window-major staging: plane k holds window wb + k's Gram tile,
     // written directly by the kernel; the flush below reads the kWinBatch
     // planes as parallel sequential streams.
     const int64_t plane = nrows * kCorrTile;
-    std::vector<double> gram_batch(static_cast<size_t>(plane * kWinBatch));
+    std::vector<double> gram_buf(
+        static_cast<size_t>(plane * kWinBatch + 2 * kLanePad));
+    double* const gram_batch = gram_buf.data() + kLanePad;
     // Per-batch window stats. Row stats are [series-in-tile][k] (read as
     // scalars per output row) and carry the b factor of the reconstruction;
     // column stats are [k][series-in-tile] so the pair-vectorized flush
     // reads them as contiguous vectors.
     double row_bsd[kCorrTile * kWinBatch];
     double row_bm[kCorrTile * kWinBatch];
-    double col_sd[kWinBatch * kCorrTile];
-    double col_m[kWinBatch * kCorrTile];
+    double col_sd_buf[kWinBatch * kCorrTile + 2 * kLanePad] = {};
+    double col_m_buf[kWinBatch * kCorrTile + 2 * kLanePad] = {};
+    double* const col_sd = col_sd_buf + kLanePad;
+    double* const col_m = col_m_buf + kLanePad;
 
-    // Prefix slot 0 of every stored pair, and the running accumulators of
-    // every pair of the live rows (an 8-pair group straddling the range
-    // edge still runs full width; its unstored lanes are never written).
+    // Prefix slot 0 of every stored pair (the accumulators start zeroed).
     for (int64_t i = live_begin; i < live_end; ++i) {
       const RowSpan r = row_span(i);
-      for (int64_t j = r.j0; j < col_end; ++j) {
-        const size_t idx =
-            static_cast<size_t>((i - row_begin) * kCorrTile + (j - col_begin));
-        acc_dot[idx] = 0.0;
-        acc_omc[idx] = 0.0;
-      }
       for (int64_t u = r.lo; u < r.hi; ++u) {
         pair_dot_prefix_[Px(r.p0 + u, 0)] = 0.0;
         pair_one_minus_corr_prefix_[Px(r.p0 + u, 0)] = 0.0;
       }
     }
 
+    const Vec8 kOne = SplatVec8(1.0);
+    const Vec8 kNegOne = SplatVec8(-1.0);
     for (int64_t wb = 0; wb < nb; wb += kWinBatch) {
       const int64_t wc = std::min<int64_t>(kWinBatch, nb - wb);
       for (int64_t k = 0; k < wc; ++k) {
@@ -458,7 +463,7 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
                       kCorrTile, col_end - col_begin, 0, b,
                       /*upper_only=*/tj == ti,
                       /*diag=*/gram_begin - col_begin,
-                      gram_batch.data() + k * plane +
+                      gram_batch + k * plane +
                           (gram_begin - row_begin) * kCorrTile,
                       kCorrTile);
         const double* means = panels.mean.data() + w * n;
@@ -474,85 +479,58 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
       }
 
       // Flush: fold the batch into each pair's running prefixes and write
-      // the wc slots [wb + 1, wb + wc] of each pair in one contiguous run.
-      // The raw inner product the sketch stores is reconstructed as
-      // sum x*y = b * (sd_x sd_y c + mean_x mean_y) — algebraically exact;
-      // the clamped correlation feeds the Eq. 2 jump budget.
+      // slots [wb + 1, wb + wc]. The raw inner product the sketch stores is
+      // reconstructed as sum x*y = b * (sd_x sd_y c + mean_x mean_y) —
+      // algebraically exact; the clamped correlation feeds the Eq. 2 jump
+      // budget.
       //
-      // Vectorized over 8 adjacent pairs (contiguous in the Gram planes,
-      // the accumulators, and the column stats): the k recursion is a
-      // serial dependence per pair, so running it 8 pairs wide is what
-      // hides its latency. The per-window Vec8 snapshots are transposed in
-      // registers so each pair's prefix run leaves as one full-width store;
-      // a scalar loop finishes ragged pair tails and ragged final batches.
+      // Vectorized over the 8 pairs of one octet (contiguous in the Gram
+      // planes, the accumulators, and the column stats when they share a
+      // row run): the k recursion is a serial dependence per pair, so
+      // running it 8 pairs wide is what hides its latency, and each
+      // window's Vec8 is the octet's slot line as stored. An octet wholly
+      // inside the run streams its lines; one cut by the run's ends (a row,
+      // tile or range boundary — its other lanes belong to another run,
+      // possibly another task's) stores just its in-run lanes.
       for (int64_t i = live_begin; i < live_end; ++i) {
         const RowSpan r = row_span(i);
         if (r.lo >= r.hi) {
           continue;
         }
-        const int64_t j0 = r.j0;
-        const int64_t njs = col_end - j0;
         const double* rbsd = row_bsd + (i - row_begin) * kWinBatch;
         const double* rbm = row_bm + (i - row_begin) * kWinBatch;
-        const int64_t p0 = r.p0;
-        const size_t idx0 = static_cast<size_t>((i - row_begin) * kCorrTile +
-                                                (j0 - col_begin));
-        // First 8-pair group touching the stored span, on the full build's
-        // group grid.
-        int64_t u = r.lo / 8 * 8;
-        if (wc == kWinBatch) {
-          const Vec8 kOne = SplatVec8(1.0);
-          const Vec8 kNegOne = SplatVec8(-1.0);
-          for (; u + 8 <= njs && u < r.hi; u += 8) {
-            const size_t idx = idx0 + static_cast<size_t>(u);
-            Vec8 dacc = LoadVec8(acc_dot + idx);
-            Vec8 oacc = LoadVec8(acc_omc + idx);
-            Vec8 dsnap[kWinBatch];
-            Vec8 osnap[kWinBatch];
-            const int64_t uc = (j0 - col_begin) + u;
-            for (int64_t k = 0; k < kWinBatch; ++k) {
-              const Vec8 raw = LoadVec8(gram_batch.data() + k * plane + idx);
-              dacc += SplatVec8(rbsd[k]) *
-                          LoadVec8(col_sd + k * kCorrTile + uc) * raw +
-                      SplatVec8(rbm[k]) * LoadVec8(col_m + k * kCorrTile + uc);
-              const Vec8 hi = raw > kOne ? kOne : raw;
-              const Vec8 clamped = hi < kNegOne ? kNegOne : hi;
-              oacc += kOne - clamped;
-              dsnap[k] = dacc;
-              osnap[k] = oacc;
-            }
-            StoreVec8(acc_dot + idx, dacc);
-            StoreVec8(acc_omc + idx, oacc);
-            Transpose8x8(dsnap);
-            Transpose8x8(osnap);
-            const int64_t v_end = std::min<int64_t>(8, r.hi - u);
-            for (int64_t v = std::max<int64_t>(0, r.lo - u); v < v_end; ++v) {
-              StreamVec8(pair_dot_prefix_ + Px(p0 + u + v, wb + 1), dsnap[v]);
-              StreamVec8(pair_one_minus_corr_prefix_ + Px(p0 + u + v, wb + 1),
-                         osnap[v]);
-            }
-          }
-        }
-        for (u = std::max(u, r.lo); u < r.hi; ++u) {
-          const size_t idx = idx0 + static_cast<size_t>(u);
-          const double* g = gram_batch.data() + idx;
-          const double* csd = col_sd + (j0 - col_begin) + u;
-          const double* cm = col_m + (j0 - col_begin) + u;
-          double dacc = acc_dot[idx];
-          double oacc = acc_omc[idx];
-          double* dot_out = pair_dot_prefix_ + Px(p0 + u, wb + 1);
-          double* omc_out =
-              pair_one_minus_corr_prefix_ + Px(p0 + u, wb + 1);
+        const int64_t uc0 = r.j0 - col_begin;
+        const int64_t idx0 = (i - row_begin) * kCorrTile + uc0;
+        const int64_t q0 = r.p0 - pair_begin_;  // octet grid position of u = 0
+        for (int64_t u = ((q0 + r.lo) & ~(kPairOctet - 1)) - q0; u < r.hi;
+             u += kPairOctet) {
+          const int64_t first = std::max<int64_t>(0, r.lo - u);
+          const int64_t last = std::min<int64_t>(kPairOctet, r.hi - u);
+          const bool whole = first == 0 && last == kPairOctet;
+          const unsigned lanes = (1u << last) - (1u << first);
+          auto put = [&](double* line, Vec8 value) {
+            whole ? StreamVec8(line, value)
+                  : MaskedStoreVec8(line, value, lanes);
+          };
+          const int64_t idx = idx0 + u;
+          const int64_t uc = uc0 + u;
+          double* dot_out = pair_dot_prefix_ + Px(r.p0 + u, wb + 1);
+          double* omc_out = pair_one_minus_corr_prefix_ + Px(r.p0 + u, wb + 1);
+          Vec8 dacc = LoadVec8(acc_dot + idx);
+          Vec8 oacc = LoadVec8(acc_omc + idx);
           for (int64_t k = 0; k < wc; ++k) {
-            const double raw = g[k * plane];
-            dacc +=
-                rbsd[k] * csd[k * kCorrTile] * raw + rbm[k] * cm[k * kCorrTile];
-            oacc += 1.0 - ClampCorrelation(raw);
-            dot_out[k] = dacc;
-            omc_out[k] = oacc;
+            const Vec8 raw = LoadVec8(gram_batch + k * plane + idx);
+            dacc += SplatVec8(rbsd[k]) *
+                        LoadVec8(col_sd + k * kCorrTile + uc) * raw +
+                    SplatVec8(rbm[k]) * LoadVec8(col_m + k * kCorrTile + uc);
+            const Vec8 hi = raw > kOne ? kOne : raw;
+            const Vec8 clamped = hi < kNegOne ? kNegOne : hi;
+            oacc += kOne - clamped;
+            put(dot_out + k * kPairOctet, dacc);
+            put(omc_out + k * kPairOctet, oacc);
           }
-          acc_dot[idx] = dacc;
-          acc_omc[idx] = oacc;
+          MaskedStoreVec8(acc_dot + idx, dacc, lanes);
+          MaskedStoreVec8(acc_omc + idx, oacc, lanes);
         }
       }
     }
@@ -626,10 +604,12 @@ double BasicWindowIndex::RangeCorrelationFromRaw(int64_t i, int64_t j,
 }
 
 int64_t BasicWindowIndex::MemoryBytes() const {
-  return static_cast<int64_t>(
-      (series_sum_prefix_.size() + series_sumsq_prefix_.size() +
-       2 * pair_prefix_size_) *
-      sizeof(double));
+  // The stored pairs' slots; the final octet's slack lanes are not counted.
+  const int64_t pair_slots =
+      (pair_end_ - pair_begin_) * (num_basic_windows_ + 1);
+  return static_cast<int64_t>(series_sum_prefix_.size() +
+                              series_sumsq_prefix_.size() + 2 * pair_slots) *
+         static_cast<int64_t>(sizeof(double));
 }
 
 std::pair<int64_t, int64_t> BasicWindowIndex::StoredPairRange(
@@ -651,13 +631,12 @@ int64_t BasicWindowIndex::EstimateMemoryBytes(
   const int64_t nb = length / options.basic_window;
   int64_t doubles = 2 * num_series * (nb + 1);  // the two series prefixes
   if (options.build_pair_sketches) {
-    // Mirrors Build's padded stride and stored range; MemoryBytes counts
-    // the prefix slots (not the alignment slack), so this matches the built
-    // index exactly.
+    // Mirrors Build's stored range; MemoryBytes counts the prefix slots
+    // (not the octet or alignment slack), so this matches the built index
+    // exactly.
     const auto [lo, hi] =
         StoredPairRange(options, num_series * (num_series - 1) / 2);
-    const int64_t stride = (nb + 1 + kPairRowPad + 7) / 8 * 8;
-    doubles += 2 * (hi - lo) * stride;
+    doubles += 2 * (hi - lo) * (nb + 1);
   }
   return doubles * static_cast<int64_t>(sizeof(double));
 }

@@ -47,8 +47,15 @@ struct BasicWindowIndexOptions {
 /// - Pairs (i, j), i < j, are addressed by a canonical dense id, see PairId.
 /// - All prefix arrays have nb + 1 entries per series/pair, so a range
 ///   [lo, hi) reduces to two loads and a subtract.
+/// - The two pair-prefix arrays are stored as *pair octets*: prefix slot w
+///   of the 8 stored pairs 8g .. 8g + 7 (counted from pair_begin()) is one
+///   64-byte-aligned cache line, and octet g holds its nb + 1 slot lines
+///   contiguously (see PairSlotOffset). Every line a reader touches serves
+///   eight consecutive pairs, and a pair's own slots sit kPairOctet doubles
+///   apart. The lanes past the last stored pair of the final octet are
+///   alignment slack: never written, never read, not counted.
 /// - A range-built index (BasicWindowIndexOptions::pair_begin/pair_end)
-///   stores only the rows of pairs [pair_begin(), pair_end()), indexed
+///   stores only the pairs [pair_begin(), pair_end()), indexed
 ///   relative to pair_begin(); readers still take global pair ids, and
 ///   callers must check CoversPairs before reading (the engine and the
 ///   serving layer refuse uncovered queries with a Status).
@@ -59,8 +66,9 @@ class BasicWindowIndex {
   /// Builds the index over all columns of `data`. When `pool` is non-null,
   /// pair sketches are built in parallel. Fails when the matrix is empty,
   /// contains NaN (interpolate first), is shorter than one basic window, or
-  /// the pair range is negative. A range build's rows are bit-identical to
-  /// the same pairs' rows in a full build, for any pool size.
+  /// the pair range is negative. A range build's pair slots are
+  /// bit-identical to the same pairs' slots in a full build, for any pool
+  /// size.
   static Result<BasicWindowIndex> Build(
       const TimeSeriesMatrix& data, const BasicWindowIndexOptions& options,
       ThreadPool* pool = nullptr);
@@ -126,11 +134,35 @@ class BasicWindowIndex {
 
   /// Raw view of the pair dot-prefix block for the window-major sweep
   /// kernel (corr/sweep_kernel.h): prefix slot w of pair p sits at
-  /// `PairDotPrefix()[(p - pair_begin()) * PairDotRowStride() + w]`, so
-  /// DotRange(p, lo, hi) is the hi/lo slot difference. Requires pair
-  /// sketches; valid while the index is alive.
-  const double* PairDotPrefix() const { return pair_dot_prefix_ + kPairRowPad; }
-  int64_t PairDotRowStride() const { return pair_row_stride_; }
+  /// `PairDotPrefix()[PairSlotOffset(p, w)]`, so DotRange(p, lo, hi) is the
+  /// hi/lo slot difference, and the octet holding p starts on a 64-byte
+  /// boundary every PairOctetStride() doubles. Requires pair sketches;
+  /// valid while the index is alive.
+  const double* PairDotPrefix() const { return pair_dot_prefix_; }
+  int64_t PairOctetStride() const {
+    return kPairOctet * (num_basic_windows_ + 1);
+  }
+  /// Offset of pair `p`'s prefix slot `w` in either pair-prefix block.
+  size_t PairSlotOffset(int64_t p, int64_t w) const { return Px(p, w); }
+  /// One pair's prefix slots in an octet block: `lane[w]` is slot w, and
+  /// DotRange(p, lo, hi) == PairDotLane(p)[hi] - PairDotLane(p)[lo]
+  /// bit for bit. Per-pair walks (the jump path) hoist a lane once per
+  /// pair; consecutive pairs' lanes share the lines they read.
+  class PairLane {
+   public:
+    explicit PairLane(const double* slot0) : slot0_(slot0) {}
+    double operator[](int64_t w) const { return *Slot(w); }
+    const double* Slot(int64_t w) const { return slot0_ + kPairOctet * w; }
+
+   private:
+    const double* slot0_;
+  };
+  PairLane PairDotLane(int64_t p) const {
+    return PairLane(pair_dot_prefix_ + Px(p, 0));
+  }
+  PairLane PairOneMinusCorrLane(int64_t p) const {
+    return PairLane(pair_one_minus_corr_prefix_ + Px(p, 0));
+  }
 
   /// Pearson correlation of the pair within basic window `w` (the `c_i` of
   /// Eq. 1 / Eq. 2); 0 when either side is constant in the window.
@@ -184,14 +216,14 @@ class BasicWindowIndex {
   size_t Sx(int64_t s, int64_t w) const {
     return static_cast<size_t>(s * (num_basic_windows_ + 1) + w);
   }
-  /// Pair rows are padded: kPairRowPad leading slack doubles put prefix
-  /// slot w = 8k + 1 on a 64-byte boundary (with the 64-byte-aligned base
-  /// and the 8-multiple row stride), so the build's batched 8-window runs
-  /// land as full aligned cache lines eligible for non-temporal stores.
-  static constexpr int64_t kPairRowPad = 7;
+  /// The octet layout (see the class comment): octet (p - pair_begin) / 8,
+  /// slot line w, lane (p - pair_begin) % 8. With the 64-byte-aligned base
+  /// every slot line is a full aligned cache line, so the build's octet
+  /// flush can leave as non-temporal stores.
   size_t Px(int64_t p, int64_t w) const {
-    return static_cast<size_t>((p - pair_begin_) * pair_row_stride_ +
-                               kPairRowPad + w);
+    const int64_t q = p - pair_begin_;
+    return static_cast<size_t>((q >> 3) * PairOctetStride() +
+                               kPairOctet * w + (q & 7));
   }
   /// The clamped stored pair range of `options` over `num_pairs` pairs.
   static std::pair<int64_t, int64_t> StoredPairRange(
@@ -206,20 +238,19 @@ class BasicWindowIndex {
   int64_t pair_end_ = 0;
   bool has_pair_sketches_ = false;
 
-  // Prefix arrays, one row per series/pair. Series rows have nb + 1
-  // entries; pair rows are padded to pair_row_stride_ (see kPairRowPad).
-  // The pair arrays are allocated *uninitialized* (every slot is written
-  // during the build): at scale they are the dominant allocation, and the
-  // redundant zeroing pass costs a full sweep of memory bandwidth. The
-  // storage members own the memory; the aligned pointers index it.
+  // Prefix arrays: one row of nb + 1 entries per series; the pair arrays
+  // are octet-interleaved (see Px). The pair arrays are allocated
+  // *uninitialized* (every stored slot is written during the build): at
+  // scale they are the dominant allocation, and the redundant zeroing pass
+  // costs a full sweep of memory bandwidth. The storage members own the
+  // memory; the aligned pointers index it.
   std::vector<double> series_sum_prefix_;
   std::vector<double> series_sumsq_prefix_;
   std::unique_ptr<double[]> pair_dot_storage_;
   std::unique_ptr<double[]> pair_omc_storage_;
   double* pair_dot_prefix_ = nullptr;
   double* pair_one_minus_corr_prefix_ = nullptr;
-  int64_t pair_row_stride_ = 0;
-  size_t pair_prefix_size_ = 0;
+  size_t pair_prefix_size_ = 0;  // whole octets, slack lanes included
   size_t pair_storage_size_ = 0;
 };
 

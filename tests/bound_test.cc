@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "bound/bounds.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "corr/pearson.h"
+#include "engine/dangoron_engine.h"
 #include "sketch/basic_window_index.h"
 #include "ts/generators.h"
 
@@ -280,6 +284,178 @@ TEST(TemporalBoundTest, AntiCorrelatedPairSkipsFar) {
   const double corr0 = fixture.Exact(0, 8);
   ASSERT_LT(corr0, 0.0);
   EXPECT_GT(bound.MaxSkippableBelow(0, 0, corr0, 0.9, 40), 0);
+}
+
+// Random prefixes: six series of Gaussian noise with shared factors, where
+// series 1 copies series 0 in some basic windows and negates it in others,
+// so the sketch holds windows clamped at c = +1 and c = -1 (1 - c exactly 0
+// or 2) next to ordinary ones. Every search must return what the brute
+// force returns: the largest j in [1, max_steps] whose bound predicate
+// holds at every step 1..j — including max_steps caps and max_steps = 0.
+TEST(TemporalBoundTest, SearchesMatchBruteForceOnRandomPrefixes) {
+  constexpr int64_t kSeries = 6;
+  constexpr int64_t kB = 8;
+  constexpr int64_t kWindows = 90;
+  Rng rng(11);
+  std::vector<std::vector<double>> rows(kSeries,
+                                        std::vector<double>(kB * kWindows));
+  for (int64_t t = 0; t < kB * kWindows; ++t) {
+    const double factor = rng.NextGaussian();
+    for (int64_t s = 0; s < kSeries; ++s) {
+      rows[s][t] = 0.6 * factor + rng.NextGaussian();
+    }
+  }
+  for (int64_t w = 0; w < kWindows; w += 3) {
+    const double sign = (w / 3) % 2 == 0 ? 1.0 : -1.0;
+    for (int64_t t = w * kB; t < (w + 1) * kB; ++t) {
+      rows[1][t] = sign * rows[0][t];
+    }
+  }
+  auto matrix = TimeSeriesMatrix::FromRows(std::move(rows));
+  ASSERT_TRUE(matrix.ok());
+  BasicWindowIndexOptions options;
+  options.basic_window = kB;
+  const auto index = BasicWindowIndex::Build(*matrix, options);
+  ASSERT_TRUE(index.ok());
+  // (Recovered from prefix differences, so a clamped window can read an
+  // ulp off ±1; most read exactly.)
+  int64_t clamped = 0;
+  for (int64_t w = 0; w < kWindows; ++w) {
+    const double c = index->PairWindowCorrelation(0, w);
+    clamped += c == 1.0 || c == -1.0;
+  }
+  ASSERT_GE(clamped, kWindows / 4);
+
+  int64_t partial = 0;
+  int64_t capped = 0;
+  for (const int64_t m : {1, 2, 3}) {
+    for (const int64_t ns : {4, 10}) {
+      const TemporalBound bound(&*index, ns, m);
+      for (int trial = 0; trial < 3000; ++trial) {
+        const int64_t pair = rng.NextInt(0, index->num_pairs() - 1);
+        const int64_t w0 = rng.NextInt(0, kWindows - 1);
+        const int64_t horizon = (kWindows - w0) / m;
+        const int64_t max_steps =
+            trial % 7 == 0 ? 0 : rng.NextInt(0, horizon);
+        const double beta = rng.NextUniform(0.05, 0.95);
+        const double below = rng.NextUniform(-1.0, beta);
+        const double above = rng.NextUniform(beta, 1.0);
+        const double within = rng.NextUniform(-beta, beta);
+        auto brute = [&](auto pred) {
+          int64_t j = 0;
+          while (j < max_steps && pred(j + 1)) {
+            ++j;
+          }
+          return j;
+        };
+        const int64_t want_below = brute([&](int64_t j) {
+          return bound.UpperBound(pair, w0, below, j) < beta;
+        });
+        const int64_t want_above = brute([&](int64_t j) {
+          return bound.LowerBound(pair, w0, above, j) >= beta;
+        });
+        const int64_t want_within = brute([&](int64_t j) {
+          return bound.UpperBound(pair, w0, within, j) < beta &&
+                 bound.LowerBound(pair, w0, within, j) > -beta;
+        });
+        ASSERT_EQ(bound.MaxSkippableBelow(pair, w0, below, beta, max_steps),
+                  want_below)
+            << "pair " << pair << " w0 " << w0 << " max " << max_steps;
+        ASSERT_EQ(bound.MaxSkippableAbove(pair, w0, above, beta, max_steps),
+                  want_above)
+            << "pair " << pair << " w0 " << w0 << " max " << max_steps;
+        ASSERT_EQ(bound.MaxSkippableWithin(pair, w0, within, -beta, beta,
+                                           max_steps),
+                  want_within)
+            << "pair " << pair << " w0 " << w0 << " max " << max_steps;
+        for (const int64_t want : {want_below, want_above, want_within}) {
+          partial += want > 0 && want < max_steps;
+          capped += want > 0 && want == max_steps;
+        }
+      }
+    }
+  }
+  // Both outcomes a search can end in were exercised many times.
+  EXPECT_GT(partial, 1000);
+  EXPECT_GT(capped, 1000);
+}
+
+// The approx tier over a range-built index: its jump walks read the same
+// octet lanes as over the full index, so the answers — edges, anchor
+// values and jump counters — are the full index's, bit for bit, for ranges
+// cut mid-octet and mid-row, in every threshold mode and pool size.
+TEST(ApproxTierRangeTest, RangeIndexAnswersLikeTheFullIndex) {
+  constexpr int64_t kSeries = 40;
+  constexpr int64_t kB = 8;
+  Rng rng(12);
+  std::vector<std::vector<double>> rows(kSeries,
+                                        std::vector<double>(kB * 60));
+  for (int64_t s = 0; s < kSeries; ++s) {
+    double level = rng.NextGaussian();
+    for (double& v : rows[s]) {
+      level += 0.3 * rng.NextGaussian();
+      v = level;
+    }
+  }
+  auto matrix = TimeSeriesMatrix::FromRows(std::move(rows));
+  ASSERT_TRUE(matrix.ok());
+  BasicWindowIndexOptions full_options;
+  full_options.basic_window = kB;
+  const auto full = BasicWindowIndex::Build(*matrix, full_options);
+  ASSERT_TRUE(full.ok());
+
+  SlidingQuery query;
+  query.start = 0;
+  query.end = matrix->length();
+  query.window = 10 * kB;
+  query.step = kB;
+  const int64_t n = kSeries;
+  for (const auto& [begin, end] :
+       {std::pair<int64_t, int64_t>{3, 5},
+        {BasicWindowIndex::PairId(2, 17, n),
+         BasicWindowIndex::PairId(9, 10, n)},
+        {BasicWindowIndex::PairId(30, 31, n) + 5, 780}}) {
+    BasicWindowIndexOptions options = full_options;
+    options.pair_begin = begin;
+    options.pair_end = end;
+    const auto range = BasicWindowIndex::Build(*matrix, options);
+    ASSERT_TRUE(range.ok());
+    query.pair_begin = begin;
+    query.pair_end = end;
+    for (const bool absolute : {false, true}) {
+      query.absolute = absolute;
+      query.threshold = absolute ? 0.7 : 0.6;
+      for (const int threads : {1, 4}) {
+        ThreadPool pool(threads);
+        DangoronOptions engine_options;
+        engine_options.basic_window = kB;
+        engine_options.enable_jumping = true;
+        EngineStats full_stats;
+        EngineStats range_stats;
+        const auto a = DangoronEngine::QueryPrepared(engine_options, *full,
+                                                     query, &pool, &full_stats);
+        const auto b = DangoronEngine::QueryPrepared(
+            engine_options, *range, query, &pool, &range_stats);
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_GT(full_stats.cells_jumped, 0);
+        EXPECT_EQ(full_stats.cells_jumped, range_stats.cells_jumped);
+        EXPECT_EQ(full_stats.jumps, range_stats.jumps);
+        ASSERT_EQ(a->num_windows(), b->num_windows());
+        for (int64_t k = 0; k < a->num_windows(); ++k) {
+          const auto x = a->WindowEdges(k);
+          const auto y = b->WindowEdges(k);
+          ASSERT_EQ(x.size(), y.size()) << "window " << k;
+          for (size_t e = 0; e < x.size(); ++e) {
+            ASSERT_EQ(x[e].i, y[e].i);
+            ASSERT_EQ(x[e].j, y[e].j);
+            ASSERT_EQ(std::bit_cast<uint64_t>(x[e].value),
+                      std::bit_cast<uint64_t>(y[e].value))
+                << "range [" << begin << "," << end << ") window " << k;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

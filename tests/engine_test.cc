@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <tuple>
 
 #include "common/logging.h"
@@ -462,6 +463,54 @@ TEST(DangoronAboveJumpTest, PersistentEdgesSurvive) {
     ASSERT_EQ(result->WindowEdges(k).size(), 1u) << "window " << k;
   }
   EXPECT_GT(engine.stats().cells_jumped, 0);
+}
+
+// The jump path emits its windows by concatenating the pair blocks' outputs
+// with no sort pass: each window must already be in the canonical strictly
+// ascending (i, j) order, whatever the pool size (1 block vs 32 blocks) and
+// whether above-threshold jumps back-fill skipped windows.
+TEST(DangoronJumpTest, WindowsAreSortedWithoutASortPass) {
+  TimeSeriesMatrix data = SmallClimate(40, 24 * 60, 23);
+  SlidingQuery query;
+  query.start = 0;
+  query.end = data.length();
+  query.window = 24 * 12;
+  query.step = 24;
+  for (const bool absolute : {false, true}) {
+    query.absolute = absolute;
+    query.threshold = absolute ? 0.6 : 0.5;
+    for (const bool above : {true, false}) {
+      std::optional<CorrelationMatrixSeries> single;
+      for (const int threads : {1, 4}) {
+        DangoronOptions options;
+        options.enable_jumping = true;
+        options.enable_above_jumping = above;
+        options.num_threads = threads;
+        DangoronEngine engine(options);
+        ASSERT_TRUE(engine.Prepare(data).ok());
+        auto result = engine.Query(query);
+        ASSERT_TRUE(result.ok());
+        EXPECT_GT(engine.stats().cells_jumped, 0);
+        int64_t edges = 0;
+        for (int64_t k = 0; k < result->num_windows(); ++k) {
+          const auto window = result->WindowEdges(k);
+          edges += static_cast<int64_t>(window.size());
+          for (size_t e = 1; e < window.size(); ++e) {
+            ASSERT_TRUE(std::tie(window[e - 1].i, window[e - 1].j) <
+                        std::tie(window[e].i, window[e].j))
+                << "absolute=" << absolute << " above=" << above
+                << " threads=" << threads << " window " << k << " edge " << e;
+          }
+        }
+        EXPECT_GT(edges, 100);
+        if (single.has_value()) {
+          ExpectSeriesEqual(*single, *result, 0.0);
+        } else {
+          single = std::move(*result);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- ParCorr --

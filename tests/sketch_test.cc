@@ -336,12 +336,11 @@ TEST(PairRangeIndexTest, RangeRowsAreBitIdenticalToFullBuild) {
         EXPECT_EQ(BasicWindowIndex::EstimateMemoryBytes(
                       kRangeSeries, data.length(), options),
                   range->MemoryBytes());
-        const int64_t stride = full->PairDotRowStride();
-        ASSERT_EQ(range->PairDotRowStride(), stride);
         for (int64_t p = lo; p < hi; ++p) {
           for (int64_t w = 0; w <= kRangeWindows; ++w) {
-            ASSERT_EQ(Bits(range->PairDotPrefix()[(p - lo) * stride + w]),
-                      Bits(full->PairDotPrefix()[p * stride + w]))
+            ASSERT_EQ(
+                Bits(range->PairDotPrefix()[range->PairSlotOffset(p, w)]),
+                Bits(full->PairDotPrefix()[full->PairSlotOffset(p, w)]))
                 << "threads=" << threads << " blocked=" << blocked
                 << " range [" << begin << "," << end << ") pair " << p
                 << " slot " << w;
