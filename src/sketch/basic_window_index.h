@@ -54,6 +54,10 @@ struct BasicWindowIndexOptions {
 ///   eight consecutive pairs, and a pair's own slots sit kPairOctet doubles
 ///   apart. The lanes past the last stored pair of the final octet are
 ///   alignment slack: never written, never read, not counted.
+/// - The blocked build flushes on the octet grid: an octet whose 8 pairs
+///   one build task owns leaves as full-line non-temporal stores; an octet
+///   cut by a row, tile or range boundary is written lane-masked by each
+///   task that owns some of its pairs.
 /// - A range-built index (BasicWindowIndexOptions::pair_begin/pair_end)
 ///   stores only the pairs [pair_begin(), pair_end()), indexed
 ///   relative to pair_begin(); readers still take global pair ids, and
