@@ -53,7 +53,10 @@ class TemporalBound {
   // pair's lane of the 1 - c prefix, whose octet lines the neighbouring
   // pairs' searches read too. Bisection, not galloping: a galloping search
   // showed no gain on the explore workload's jump walk and was ~20-30 %
-  // slower on the long skips of bench_serving's n = 128 approx tier.
+  // slower on the long skips of bench_serving's n = 128 approx tier. The
+  // engine's plain-threshold walk finds MaxSkippableBelow's answer without
+  // it (DangoronEngine's octet walk ends a skip at the first failing
+  // window; UpperBound is monotone bit for bit, see dangoron_engine.cc).
 
   /// Largest j with UpperBound(j) < beta, i.e. the number of future windows
   /// that can be skipped as below-threshold.

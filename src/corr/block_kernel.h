@@ -36,6 +36,20 @@ inline constexpr int64_t kGramRowGroup = 4;
 /// It is also the distance in doubles between one pair's consecutive slots.
 inline constexpr int64_t kPairOctet = 8;
 
+/// Offset of lane `lane`'s prefix slot `w` from the first line of its
+/// octet: slot line w, then the lane within it.
+inline int64_t PairOctetSlot(int64_t lane, int64_t w) {
+  return kPairOctet * w + lane;
+}
+
+/// The octet layout in one place: offset of prefix slot `w` of the `q`-th
+/// stored pair in a pair-prefix block whose octets start `octet_stride`
+/// doubles apart — octet q / 8, then slot line w, then lane q % 8.
+inline int64_t PairSlotOffset(int64_t octet_stride, int64_t q, int64_t w) {
+  static_assert(kPairOctet == 8, "q >> 3 and q & 7 split q into octet, lane");
+  return (q >> 3) * octet_stride + PairOctetSlot(q & 7, w);
+}
+
 /// 8-wide double vector of the hot kernels (GCC/Clang vector extension).
 /// Explicit vector accumulators are what keep the micro-kernels
 /// register-resident: the equivalent local-array loops auto-vectorize but
@@ -84,6 +98,23 @@ inline void MaskedStoreVec8(double* p, Vec8 v, unsigned lanes) {
       p[l] = v[l];
     }
   }
+#endif
+}
+
+/// 8-wide int64 vector: per-lane counters next to a Vec8, and the lane
+/// masks a Vec8 comparison yields (-1 true, 0 false).
+typedef int64_t Int64x8 __attribute__((vector_size(64), aligned(8)));
+
+/// Bit l set where lane l of a Vec8 comparison result (`mask`) is true.
+inline unsigned MaskBits(Int64x8 mask) {
+#if defined(__AVX512DQ__)
+  return _mm512_movepi64_mask(reinterpret_cast<__m512i>(mask));
+#else
+  unsigned bits = 0;
+  for (int l = 0; l < 8; ++l) {
+    bits |= static_cast<unsigned>(mask[l] & 1) << l;
+  }
+  return bits;
 #endif
 }
 

@@ -49,25 +49,28 @@ void SweepOctets(const SweepView& v, int64_t base_w0, int64_t ns, int64_t m,
   int64_t p = pair_begin;
   while (p < pair_end) {
     const int64_t q = p - v.pair_base;
-    const double* octet = v.dot_prefix + (q / kPairOctet) * v.octet_stride;
     if (q % kPairOctet == 0 && p + kPairOctet <= pair_end &&
         j + kPairOctet <= n) {
+      const double* octet =
+          v.dot_prefix + PairSlotOffset(v.octet_stride, q, 0);
       // The band reads 2 lines per window from each octet, octets apart:
       // too short a run for the hardware prefetcher to catch, so fetch the
       // same lines kPrefetchOctets octets ahead while that is in the range.
       const double* ahead =
           p + (kPrefetchOctets + 1) * kPairOctet <= pair_end
-              ? octet + kPrefetchOctets * v.octet_stride
+              ? v.dot_prefix +
+                    PairSlotOffset(v.octet_stride,
+                                   q + kPrefetchOctets * kPairOctet, 0)
               : octet;
       for (int64_t k = k_begin; k < k_end; ++k) {
         const int64_t lo = base_w0 + k * m;
         const int64_t hi = lo + ns;
-        __builtin_prefetch(ahead + lo * kPairOctet);
-        __builtin_prefetch(ahead + hi * kPairOctet);
+        __builtin_prefetch(ahead + PairOctetSlot(0, lo));
+        __builtin_prefetch(ahead + PairOctetSlot(0, hi));
         const double* sums = v.range_sum + k * n;
         const double* invs = v.range_inv_css + k * n;
-        const Vec8 dot = LoadVec8(octet + hi * kPairOctet) -
-                         LoadVec8(octet + lo * kPairOctet);
+        const Vec8 dot = LoadVec8(octet + PairOctetSlot(0, hi)) -
+                         LoadVec8(octet + PairOctetSlot(0, lo));
         const Vec8 sj = LoadVec8(sums + j);
         const Vec8 invj = LoadVec8(invs + j);
         const Vec8 cov = dot - SplatVec8(sums[i]) * sj * vic;
@@ -103,13 +106,15 @@ void SweepOctets(const SweepView& v, int64_t base_w0, int64_t ns, int64_t m,
           ++i;
           j = i + 1;
         }
-        const double* lane = octet + (p - v.pair_base) % kPairOctet;
+        const double* lane =
+            v.dot_prefix + PairSlotOffset(v.octet_stride, p - v.pair_base, 0);
         for (int64_t k = k_begin; k < k_end; ++k) {
           const int64_t lo = base_w0 + k * m;
           const int64_t hi = lo + ns;
           const double* sums = v.range_sum + k * n;
           const double* invs = v.range_inv_css + k * n;
-          const double cov = (lane[hi * kPairOctet] - lane[lo * kPairOctet]) -
+          const double cov = (lane[PairOctetSlot(0, hi)] -
+                              lane[PairOctetSlot(0, lo)]) -
                              sums[i] * sums[j] * v.inv_count;
           const double corr = ClampCorrelation(cov * invs[i] * invs[j]);
           const bool is_edge =

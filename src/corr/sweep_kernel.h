@@ -31,7 +31,7 @@ inline constexpr int64_t kSweepWindowBand = 8;
 /// Immutable per-query view the exact sweep kernel reads: the index's
 /// octet-interleaved pair dot-prefix block plus the engine's hoisted range
 /// moments (see DangoronEngine::QueryPreparedToSink). Prefix slot w of pair
-/// p sits at `dot_prefix[(q / 8) * octet_stride + 8 * w + q % 8]` with
+/// p sits at `dot_prefix[PairSlotOffset(octet_stride, q, w)]` with
 /// q = p - pair_base (BasicWindowIndex::PairDotPrefix / PairOctetStride /
 /// pair_begin — a range-built index stores octets from its first pair on);
 /// callers pass global pair ids. `range_sum` / `range_inv_css` are

@@ -41,12 +41,13 @@ struct DangoronOptions {
   /// Exact-mode (jumping off) queries run window-major through the
   /// vectorized sweep kernel (corr/sweep_kernel.h): each window's pair
   /// sweep is SIMD and branch-free, and the window is emitted to the sink
-  /// the moment it completes — the engine itself streams. Turn off to run
-  /// the scalar pair-major cell loop instead: the differential oracle of
-  /// the sweep tests and the baseline of bench_query_time's
-  /// BENCH_query.json. Both paths emit bit-identical edges. Ignored when
-  /// jumping is on (jumping couples consecutive windows along a pair, so
-  /// that path stays pair-major by construction).
+  /// the moment it completes — the engine itself streams. Plain-threshold
+  /// jump queries (no absolute threshold, above-threshold jumps or
+  /// pruning) walk each pair octet window-major the same way. Turn off to
+  /// run the scalar pair-by-pair walk instead: the differential oracle of
+  /// the sweep and octet-walk tests and the baseline of bench_query_time's
+  /// BENCH_query.json. Both paths emit bit-identical edges and, with
+  /// jumping, identical jump counters.
   bool use_sweep_kernel = true;
 
   /// Worker threads (pair-block parallelism; results are deterministic and

@@ -16,6 +16,12 @@ namespace dangoron {
 
 namespace {
 
+// Largest pair sketch (both blocks) the blocked build writes with plain
+// stores: half the 32 MiB last-level cache that one chiplet of a current
+// server CPU shares among its cores, so a fresh sketch and the working set
+// of the query that follows its build fit together.
+constexpr int64_t kCachedSketchBytes = int64_t{16} << 20;
+
 // Process-wide recycler for the big pair-prefix blocks. A fresh allocation
 // of this size is served by mmap, and every page costs a fault plus kernel
 // zeroing on first touch — for production-scale sketches that is a full
@@ -361,6 +367,13 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
   // flush to the stored pairs. Stored slots are therefore bit-identical to
   // the full build's.
   constexpr int64_t kWinBatch = 8;
+  // A cold query is a build and then a query over the new slots. Slots
+  // streamed past the cache come back from memory on that first query, so
+  // a sketch small enough to stay in the last-level cache is written with
+  // plain stores; a larger one streams (no read-for-ownership, no
+  // eviction of everything else).
+  const bool stream = 2 * pair_prefix_size_ * sizeof(double) >
+                      static_cast<size_t>(kCachedSketchBytes);
   // Octet-anchored groups start up to 7 lanes before a row's stored run and
   // end up to 7 past it; the tile-local buffers carry this much zeroed
   // slack on both sides so those lanes read in bounds. Their results are
@@ -509,8 +522,13 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
           const bool whole = first == 0 && last == kPairOctet;
           const unsigned lanes = (1u << last) - (1u << first);
           auto put = [&](double* line, Vec8 value) {
-            whole ? StreamVec8(line, value)
-                  : MaskedStoreVec8(line, value, lanes);
+            if (!whole) {
+              MaskedStoreVec8(line, value, lanes);
+            } else if (stream) {
+              StreamVec8(line, value);
+            } else {
+              StoreVec8(line, value);
+            }
           };
           const int64_t idx = idx0 + u;
           const int64_t uc = uc0 + u;

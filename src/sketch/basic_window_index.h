@@ -50,9 +50,9 @@ struct BasicWindowIndexOptions {
 /// - The two pair-prefix arrays are stored as *pair octets*: prefix slot w
 ///   of the 8 stored pairs 8g .. 8g + 7 (counted from pair_begin()) is one
 ///   64-byte-aligned cache line, and octet g holds its nb + 1 slot lines
-///   contiguously (see PairSlotOffset). Every line a reader touches serves
-///   eight consecutive pairs, and a pair's own slots sit kPairOctet doubles
-///   apart. The lanes past the last stored pair of the final octet are
+///   contiguously (PairSlotOffset in corr/block_kernel.h). Every line a
+///   reader touches serves eight consecutive pairs, and a pair's own slots
+///   sit kPairOctet doubles apart. The lanes past the last stored pair of the final octet are
 ///   alignment slack: never written, never read, not counted.
 /// - The blocked build flushes on the octet grid: an octet whose 8 pairs
 ///   one build task owns leaves as full-line non-temporal stores; an octet
@@ -138,25 +138,39 @@ class BasicWindowIndex {
 
   /// Raw view of the pair dot-prefix block for the window-major sweep
   /// kernel (corr/sweep_kernel.h): prefix slot w of pair p sits at
-  /// `PairDotPrefix()[PairSlotOffset(p, w)]`, so DotRange(p, lo, hi) is the
-  /// hi/lo slot difference, and the octet holding p starts on a 64-byte
-  /// boundary every PairOctetStride() doubles. Requires pair sketches;
+  /// `PairSlotOffset(PairOctetStride(), p - pair_begin(), w)` (corr/
+  /// block_kernel.h), so DotRange(p, lo, hi) is the hi/lo slot difference,
+  /// and every octet starts on a 64-byte boundary. Requires pair sketches;
   /// valid while the index is alive.
   const double* PairDotPrefix() const { return pair_dot_prefix_; }
   int64_t PairOctetStride() const {
     return kPairOctet * (num_basic_windows_ + 1);
   }
-  /// Offset of pair `p`'s prefix slot `w` in either pair-prefix block.
-  size_t PairSlotOffset(int64_t p, int64_t w) const { return Px(p, w); }
+  /// The first pair of the octet holding pair `p`: lane l of that octet is
+  /// pair OctetFirstPair(p) + l.
+  int64_t OctetFirstPair(int64_t p) const {
+    return p - ((p - pair_begin_) & (kPairOctet - 1));
+  }
+  /// First line of the octet holding pair `p` in the dot / 1 - c block:
+  /// its lane l's slot w is at PairOctetSlot(l, w). The engine's octet
+  /// jump walk reads all 8 lanes of a slot line at once this way.
+  const double* PairDotOctet(int64_t p) const {
+    return pair_dot_prefix_ + Px(OctetFirstPair(p), 0);
+  }
+  const double* PairOneMinusCorrOctet(int64_t p) const {
+    return pair_one_minus_corr_prefix_ + Px(OctetFirstPair(p), 0);
+  }
   /// One pair's prefix slots in an octet block: `lane[w]` is slot w, and
   /// DotRange(p, lo, hi) == PairDotLane(p)[hi] - PairDotLane(p)[lo]
-  /// bit for bit. Per-pair walks (the jump path) hoist a lane once per
-  /// pair; consecutive pairs' lanes share the lines they read.
+  /// bit for bit. Per-pair readers hoist a lane once per pair.
   class PairLane {
    public:
+    /// `slot0` is the pair's slot 0: its octet's first line plus its lane.
     explicit PairLane(const double* slot0) : slot0_(slot0) {}
     double operator[](int64_t w) const { return *Slot(w); }
-    const double* Slot(int64_t w) const { return slot0_ + kPairOctet * w; }
+    const double* Slot(int64_t w) const {
+      return slot0_ + PairOctetSlot(0, w);
+    }
 
    private:
     const double* slot0_;
@@ -225,9 +239,8 @@ class BasicWindowIndex {
   /// every slot line is a full aligned cache line, so the build's octet
   /// flush can leave as non-temporal stores.
   size_t Px(int64_t p, int64_t w) const {
-    const int64_t q = p - pair_begin_;
-    return static_cast<size_t>((q >> 3) * PairOctetStride() +
-                               kPairOctet * w + (q & 7));
+    return static_cast<size_t>(
+        PairSlotOffset(PairOctetStride(), p - pair_begin_, w));
   }
   /// The clamped stored pair range of `options` over `num_pairs` pairs.
   static std::pair<int64_t, int64_t> StoredPairRange(

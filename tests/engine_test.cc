@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "corr/pearson.h"
 #include "engine/dangoron_engine.h"
 #include "engine/naive_engine.h"
@@ -507,6 +508,70 @@ TEST(DangoronJumpTest, WindowsAreSortedWithoutASortPass) {
           ExpectSeriesEqual(*single, *result, 0.0);
         } else {
           single = std::move(*result);
+        }
+      }
+    }
+  }
+}
+
+// The plain-threshold jump path walks each pair octet window-major; the
+// pair-by-pair walk (use_sweep_kernel off) is its oracle. Both must take
+// the same steps: identical edges and values, and identical evaluated,
+// jumped and jump counters — over octets cut by rows and by pair ranges,
+// degenerate and anti-correlated series, jump caps, and pool sizes.
+TEST(DangoronJumpTest, OctetWalkMatchesPairWalk) {
+  for (const int64_t n : {9, 37, 100, 131}) {
+    Rng rng(static_cast<uint64_t>(n));
+    TimeSeriesMatrix data = GenerateWhiteNoise(n, 24 * 70, &rng);
+    TimeSeriesMatrix climate = SmallClimate(n, 24 * 70, 5);
+    for (int64_t t = 0; t < data.length(); ++t) {
+      data.Row(0)[t] = 1.5;                   // degenerate series
+      data.Row(2)[t] = -data.Row(1)[t];       // anti-correlated pair
+      data.Row(n - 1)[t] = climate.Row(n - 1)[t];
+    }
+    const int64_t num_pairs = n * (n - 1) / 2;
+    for (const TimeSeriesMatrix* matrix : {&data, &climate}) {
+      for (const int threads : {1, 4}) {
+        ThreadPool pool(threads);
+        DangoronOptions options;
+        options.num_threads = threads;
+        auto index = DangoronEngine::BuildIndex(*matrix, options, &pool);
+        ASSERT_TRUE(index.ok());
+        for (const double threshold : {0.2, 0.6, 0.9}) {
+          for (const int64_t cap : {0, 3}) {
+            for (const int64_t cut : {int64_t{0}, num_pairs / 3 + 5}) {
+              SlidingQuery query;
+              query.start = 24 * 3;
+              query.end = matrix->length();
+              query.window = 24 * 15;
+              query.step = 24 * (cap == 0 ? 1 : 2);
+              query.threshold = threshold;
+              query.pair_begin = cut;
+              query.pair_end = cut == 0 ? 0 : num_pairs - 3;
+              DangoronOptions octet = options;
+              octet.max_jump_steps = cap;
+              DangoronOptions pairwise = octet;
+              pairwise.use_sweep_kernel = false;
+              EngineStats octet_stats;
+              EngineStats pair_stats;
+              auto a = DangoronEngine::QueryPrepared(octet, *index, query,
+                                                     &pool, &octet_stats);
+              auto b = DangoronEngine::QueryPrepared(pairwise, *index, query,
+                                                     &pool, &pair_stats);
+              ASSERT_TRUE(a.ok());
+              ASSERT_TRUE(b.ok());
+              SCOPED_TRACE(testing::Message()
+                           << "n=" << n << " threads=" << threads
+                           << " threshold=" << threshold << " cap=" << cap
+                           << " cut=" << cut);
+              ExpectSeriesEqual(*a, *b, 0.0);
+              EXPECT_EQ(octet_stats.cells_evaluated,
+                        pair_stats.cells_evaluated);
+              EXPECT_EQ(octet_stats.cells_jumped, pair_stats.cells_jumped);
+              EXPECT_EQ(octet_stats.jumps, pair_stats.jumps);
+              EXPECT_GT(octet_stats.cells_jumped, 0);
+            }
+          }
         }
       }
     }

@@ -338,9 +338,8 @@ TEST(PairRangeIndexTest, RangeRowsAreBitIdenticalToFullBuild) {
                   range->MemoryBytes());
         for (int64_t p = lo; p < hi; ++p) {
           for (int64_t w = 0; w <= kRangeWindows; ++w) {
-            ASSERT_EQ(
-                Bits(range->PairDotPrefix()[range->PairSlotOffset(p, w)]),
-                Bits(full->PairDotPrefix()[full->PairSlotOffset(p, w)]))
+            ASSERT_EQ(Bits(range->PairDotLane(p)[w]),
+                      Bits(full->PairDotLane(p)[w]))
                 << "threads=" << threads << " blocked=" << blocked
                 << " range [" << begin << "," << end << ") pair " << p
                 << " slot " << w;
