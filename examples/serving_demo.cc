@@ -170,12 +170,12 @@ int main(int argc, char** argv) {
       !server.AddDataset("climate-live", std::move(cold->data)).ok()) {
     return 1;
   }
-  StreamingSubmitOptions stream_submit;
+  ServeOptions stream_submit;
   stream_submit.queue_capacity = 8;
   stream_submit.max_batch_windows = 4;
   Stopwatch ttfw_timer;
-  auto window_stream =
-      server.SubmitStreaming("climate-live", query, stream_submit);
+  auto window_stream = server.SubmitStreaming(
+      QueryRequest{"climate-live", query, stream_submit});
   double ttfw_ms = 0.0;
   int64_t streamed = 0;
   while (auto window = window_stream->Next()) {

@@ -788,15 +788,7 @@ void WireServer::RunRequest(ConnectionPtr conn, WireRequest request) {
     if (status.ok()) {
       status = stream->status();
     }
-    const StreamingSummary streamed = stream->summary();
-    summary.tier_used = streamed.tier_used;
-    summary.prepared_from_cache = streamed.prepared_from_cache;
-    summary.degraded = streamed.degraded;
-    summary.windows_from_cache = streamed.windows_from_cache;
-    summary.windows_computed = streamed.windows_computed;
-    summary.windows_joined = streamed.windows_joined;
-    summary.cells_jumped = streamed.cells_jumped;
-    summary.jumps = streamed.jumps;
+    static_cast<QueryAccounting&>(summary) = stream->summary();
 
     MutexLock lock(conn->mutex);
     conn->active_stream.reset();

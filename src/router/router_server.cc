@@ -403,6 +403,13 @@ bool RouterServer::ServeRequest(int fd, int wake_fd, FrameReader* reader,
     MutexLock lock(mutex_);
     stats_.failovers += failovers;
   }
+  if (!write_ok && !conn_dead.load()) {
+    // The relay's write found the client gone before the watcher saw the
+    // hang-up (the watcher then returns on wake_fd): the same disconnect,
+    // cancelled from this side.
+    MutexLock lock(mutex_);
+    ++stats_.disconnect_cancels;
+  }
 
   if (conn_dead.load() || !write_ok) {
     return false;

@@ -60,7 +60,7 @@ ShardMerge::ShardMerge(std::vector<ShardSlice> slices, int64_t num_pairs,
   active_readers_ = static_cast<int>(slices_.size());
   if (slices_.empty()) {
     // Degenerate but legal: an empty merge is an empty Ok stream.
-    downstream_->Finish(Status::Ok(), StreamingSummary{});
+    downstream_->Finish(Status::Ok(), QueryAccounting{});
     return;
   }
   // Under the lock: a reader that dies instantly appends replacement
@@ -120,25 +120,21 @@ void ShardMerge::Cancel() {
 Status ShardMerge::status() const { return downstream_->status(); }
 
 WireSummary ShardMerge::summary() const {
-  WireSummary total;
   MutexLock lock(mutex_);
+  return SummaryLocked();
+}
+
+WireSummary ShardMerge::SummaryLocked() const {
   // Per-slice terminal summaries are stable once the merge finished (every
   // reader joined its source's terminal status before exiting). Failed-over
   // slices still count: their windows were delivered and merged.
+  std::vector<QueryAccounting> shards;
+  shards.reserve(slices_.size());
   for (const auto& slice : slices_) {
-    const WireSummary s = slice->source->summary();
-    total.windows_from_cache += s.windows_from_cache;
-    total.windows_computed += s.windows_computed;
-    total.windows_joined += s.windows_joined;
-    total.cells_jumped += s.cells_jumped;
-    total.jumps += s.jumps;
-    if (s.tier_used == ServeTier::kApprox) {
-      total.tier_used = ServeTier::kApprox;
-    }
-    if (s.degraded) {
-      total.degraded = true;
-    }
+    shards.push_back(slice->source->summary());
   }
+  WireSummary total;
+  static_cast<QueryAccounting&>(total) = MergeShardAccounting(shards);
   total.windows_delivered = windows_merged_;
   return total;
 }
@@ -323,11 +319,7 @@ void ShardMerge::FinishLocked() {
         pending_.size(), " windows never completed (first stuck index ",
         pending_.begin()->first, ")");
   }
-  // The downstream summary mirrors the aggregate; consumers read the full
-  // per-shard rollup via ShardMerge::summary().
-  StreamingSummary summary;
-  summary.windows_computed = windows_merged_;
-  downstream_->Finish(terminal, summary);
+  downstream_->Finish(terminal, SummaryLocked());
 }
 
 void ShardMerge::ReaderLoop(int slice_index) {

@@ -104,7 +104,7 @@ struct ShardMergeOptions {
   int64_t max_skew_windows = 8;
 
   /// Capacity of the merged stream's bounded delivery queue (the same knob
-  /// as StreamingSubmitOptions::queue_capacity).
+  /// as ServeOptions::queue_capacity).
   int64_t queue_capacity = kDefaultStreamQueueCapacity;
 
   /// How many mid-stream shard deaths the merge may ride out by
@@ -180,8 +180,9 @@ class ShardMerge {
   /// nullopt. Ok only when every pair range delivered every window.
   Status status() const;
 
-  /// Aggregated shard accounting (sums of per-slice counters; degraded /
-  /// approx if any shard was); meaningful once Next returned nullopt.
+  /// Aggregated shard accounting (MergeShardAccounting over the slices, plus
+  /// the merged window count); meaningful once Next returned nullopt. The
+  /// merged stream finishes with the same fold.
   WireSummary summary() const;
 
   /// Mid-stream failovers performed so far (shard deaths ridden out).
@@ -243,6 +244,9 @@ class ShardMerge {
   /// Called by the last reader to exit: settles the terminal status and
   /// finishes the downstream stream.
   void FinishLocked() REQUIRES(mutex_);
+
+  /// The fold `summary()` returns.
+  WireSummary SummaryLocked() const REQUIRES(mutex_);
 
   const ShardMergeOptions options_;
   const int64_t num_pairs_;

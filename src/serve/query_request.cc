@@ -92,4 +92,23 @@ Status QueryRequest::Validate() const {
   return Status::Ok();
 }
 
+QueryAccounting MergeShardAccounting(std::span<const QueryAccounting> shards) {
+  QueryAccounting total;
+  total.prepared_from_cache = !shards.empty();
+  for (const QueryAccounting& shard : shards) {
+    total.windows_from_cache += shard.windows_from_cache;
+    total.windows_computed += shard.windows_computed;
+    total.windows_joined += shard.windows_joined;
+    total.cells_jumped += shard.cells_jumped;
+    total.jumps += shard.jumps;
+    if (shard.tier_used == ServeTier::kApprox) {
+      total.tier_used = ServeTier::kApprox;
+    }
+    total.degraded = total.degraded || shard.degraded;
+    total.prepared_from_cache =
+        total.prepared_from_cache && shard.prepared_from_cache;
+  }
+  return total;
+}
+
 }  // namespace dangoron

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -70,10 +71,7 @@ Result<ServeTier> ParseServeTier(const std::string& text);
 Result<AdmissionPolicy> ParseAdmissionPolicy(const std::string& text);
 Result<DegradePolicy> ParseDegradePolicy(const std::string& text);
 
-/// Canonical defaults of the per-stream delivery knobs — the single source
-/// of truth both `ServeOptions` here and the legacy
-/// `StreamingSubmitOptions` (serve/window_stream.h) default from, so the
-/// two submission surfaces cannot silently diverge.
+/// Defaults of the per-stream delivery knobs of `ServeOptions`.
 inline constexpr int64_t kDefaultStreamQueueCapacity = 8;
 inline constexpr int64_t kDefaultMaxBatchWindows = 4;
 
@@ -104,14 +102,23 @@ struct ServeOptions {
   /// server's `degrade` default (off by default).
   std::optional<DegradePolicy> degrade;
 
-  // Streaming-delivery knobs (SubmitStreaming only; the per-stream
-  // StreamingSubmitOptions folded into the request surface — same meanings
-  // and defaults as serve/window_stream.h).
-  /// Capacity of the bounded delivery queue (backpressure bound).
+  // Streaming-delivery knobs (SubmitStreaming only: `Submit` collects every
+  // window into an unbounded queue and evaluates in maximal runs).
+  /// Capacity of the bounded delivery queue between the query's producer
+  /// and the consumer. When it is full the producer blocks (backpressure):
+  /// a slow consumer bounds the stream's memory at `queue_capacity` windows
+  /// instead of the whole result.
   int64_t queue_capacity = kDefaultStreamQueueCapacity;
-  /// Cap on the contiguous window run one engine pass claims (0 =
-  /// unbounded); bounds the undelivered backlog, claim granularity, and
-  /// cancel latency. Exact tier only — the approx tier takes no claims.
+  /// Cap on the contiguous window run one engine pass claims and evaluates
+  /// (0 = unbounded). Within a run the exact engine emits window by window
+  /// — each window is cached, claim-fulfilled and delivered (non-blocking)
+  /// the moment it lands — but delivery only *waits* for a slow consumer
+  /// between runs, so the cap bounds the undelivered backlog at
+  /// queue_capacity plus one run (0 trades that bound for maximal
+  /// sweep-band locality). It also bounds claim granularity toward
+  /// concurrent identical queries and the stream's cancel latency. Exact
+  /// tier only — the approx tier takes no claims — and it never changes
+  /// results.
   int64_t max_batch_windows = kDefaultMaxBatchWindows;
 };
 
@@ -134,6 +141,38 @@ struct QueryRequest {
   /// paying a round trip.
   Status Validate() const;
 };
+
+/// Where one query's answer came from and what it cost. Every serving hop
+/// reports this one struct: `ServeResult` (in-process), the stream's
+/// terminal `WindowStream::summary`, the wire status frame (`WireSummary`)
+/// and a routed query's fold over its shards (`ShardMerge::summary`).
+struct QueryAccounting {
+  /// The tier that actually answered (`kAuto` requests resolve to one of
+  /// the two before evaluation; never `kAuto` here).
+  ServeTier tier_used = ServeTier::kExact;
+  /// The prepared sketch was a cache (or in-flight dedup) hit — this query
+  /// paid no index build.
+  bool prepared_from_cache = false;
+  int64_t windows_from_cache = 0;  ///< served from the window-result cache
+  int64_t windows_computed = 0;    ///< evaluated by this query
+  int64_t windows_joined = 0;      ///< awaited from a concurrent query
+  /// Eq. 2 jump accounting from EngineStats (approx tier only — the exact
+  /// tier never jumps): pair-window cells skipped, and jump decisions.
+  int64_t cells_jumped = 0;
+  int64_t jumps = 0;
+  /// The request asked exact but was served (partly) approx by
+  /// `DegradePolicy::kAuto` (blown deadline estimate or mid-query resource
+  /// exhaustion). Never set by kAuto's own tier choice — that is selection,
+  /// not degradation.
+  bool degraded = false;
+};
+
+/// The accounting of one query answered by several shards: the counters
+/// sum; the tier is approx, and `degraded` set, when any shard's is; and
+/// `prepared_from_cache` holds only when every shard's does — a routed
+/// query paid no build only if no shard built. No shards fold to the
+/// default.
+QueryAccounting MergeShardAccounting(std::span<const QueryAccounting> shards);
 
 /// The absolute deadline of `options` measured from `now`;
 /// time_point::max() when the request has none.

@@ -34,11 +34,9 @@ WindowEdges WaitForWindowClaim(const WindowClaimPtr& claim,
   if (deadline_hit != nullptr) {
     *deadline_hit = false;
   }
-  if (stream != nullptr) {
-    // Alias the waker to the claim so the registration keeps it alive even
-    // if the claimant retires the claim while we sleep.
-    stream->AddCancelWaker(std::shared_ptr<CancelWaker>(claim, &claim->waker));
-  }
+  // Alias the waker to the claim so the registration keeps it alive even if
+  // the claimant retires the claim while we sleep.
+  stream->AddCancelWaker(std::shared_ptr<CancelWaker>(claim, &claim->waker));
   WindowEdges edges;
   {
     MutexLock lock(claim->waker.m);
@@ -49,7 +47,7 @@ WindowEdges WaitForWindowClaim(const WindowClaimPtr& claim,
     // claimant owes us nothing at our deadline). A WaitUntil timeout breaks
     // out; the classification below still prefers a fulfillment or
     // cancellation that raced in just ahead of it.
-    while (!claim->done && !(stream != nullptr && stream->cancelled())) {
+    while (!claim->done && !stream->cancelled()) {
       if (!deadline.has_deadline()) {
         claim->waker.cv.Wait(claim->waker.m);
       } else if (claim->waker.cv.WaitUntil(claim->waker.m,
@@ -59,7 +57,7 @@ WindowEdges WaitForWindowClaim(const WindowClaimPtr& claim,
     }
     if (claim->done) {
       edges = claim->edges;
-    } else if (stream != nullptr && stream->cancelled()) {
+    } else if (stream->cancelled()) {
       *cancelled = true;
     } else {
       // Neither fulfilled nor cancelled: the deadline bounded the wait.
@@ -68,9 +66,7 @@ WindowEdges WaitForWindowClaim(const WindowClaimPtr& claim,
       }
     }
   }
-  if (stream != nullptr) {
-    stream->RemoveCancelWaker(&claim->waker);
-  }
+  stream->RemoveCancelWaker(&claim->waker);
   return edges;
 }
 
@@ -440,15 +436,26 @@ std::future<Result<ServeResult>> DangoronServer::Submit(
     const QueryRequest& request) {
   Result<RequestContext> ctx = ResolveRequest(request, "Submit");
   if (!ctx.ok()) {
-    RecordQueryStats(ServeResult{}, /*streaming=*/false);
+    RecordQueryStats(QueryAccounting{}, /*streaming=*/false);
     std::promise<Result<ServeResult>> failed;
     failed.set_value(ctx.status());
     return failed.get_future();
   }
-  return pool_->Async(
-      [this, ctx = std::move(*ctx)]() -> Result<ServeResult> {
-        return RunQuery(ctx);
-      });
+  return pool_->Async([this, ctx = std::move(*ctx)]() -> Result<ServeResult> {
+    // The streaming plan, collected. The queue holds every window of the
+    // query, so delivery never blocks this pool thread, and unbounded runs
+    // (max_batch_windows = 0) give the sweep its maximal band locality.
+    WindowStreamState stream(std::max<int64_t>(1, ctx.query.NumWindows()));
+    ExecuteRequest(ctx, /*max_batch_windows=*/0, /*streaming=*/false, stream);
+    RETURN_IF_ERROR(stream.status());
+    ServeResult result;
+    result.series = CorrelationMatrixSeries(ctx.query, ctx.data->num_series());
+    for (const StreamedWindow& window : stream.TakeQueued()) {
+      *result.series.MutableWindow(window.window_index) = *window.edges;
+    }
+    static_cast<QueryAccounting&>(result) = stream.summary();
+    return result;
+  });
 }
 
 std::future<Result<ServeResult>> DangoronServer::Submit(
@@ -462,8 +469,8 @@ std::unique_ptr<WindowStream> DangoronServer::SubmitStreaming(
       request.options.queue_capacity);
   Result<RequestContext> resolved = ResolveRequest(request, "SubmitStreaming");
   if (!resolved.ok()) {
-    RecordQueryStats(ServeResult{}, /*streaming=*/true);
-    state->Finish(resolved.status(), StreamingSummary{});
+    RecordQueryStats(QueryAccounting{}, /*streaming=*/true);
+    state->Finish(resolved.status(), QueryAccounting{});
     return std::make_unique<WindowStream>(std::move(state));
   }
   // The producer gets a dedicated thread, not a pool task: delivery blocks
@@ -491,20 +498,20 @@ std::unique_ptr<WindowStream> DangoronServer::SubmitStreaming(
     active_streams_ = std::move(live);
     if (static_cast<int64_t>(active_streams_.size()) >=
         options_.max_concurrent_streams) {
-      RecordQueryStats(ServeResult{}, /*streaming=*/true);
+      RecordQueryStats(QueryAccounting{}, /*streaming=*/true);
       state->Finish(
           Status::ResourceExhausted(
               "SubmitStreaming: ", active_streams_.size(),
               " streams already live (max_concurrent_streams = ",
               options_.max_concurrent_streams,
               "); drain or cancel existing streams first"),
-          StreamingSummary{});
+          QueryAccounting{});
       return std::make_unique<WindowStream>(std::move(state));
     }
     std::thread producer([this, ctx = std::move(*resolved),
                           max_batch = request.options.max_batch_windows,
-                          state]() mutable {
-      RunStreamingQuery(ctx, max_batch, std::move(state));
+                          state] {
+      ExecuteRequest(ctx, max_batch, /*streaming=*/true, *state);
     });
     active_streams_.push_back(ActiveStream{std::move(producer), state});
   }
@@ -512,12 +519,8 @@ std::unique_ptr<WindowStream> DangoronServer::SubmitStreaming(
 }
 
 std::unique_ptr<WindowStream> DangoronServer::SubmitStreaming(
-    const std::string& dataset, const SlidingQuery& query,
-    const StreamingSubmitOptions& stream_options) {
-  QueryRequest request{dataset, query, ServeOptions{}};
-  request.options.queue_capacity = stream_options.queue_capacity;
-  request.options.max_batch_windows = stream_options.max_batch_windows;
-  return SubmitStreaming(request);
+    const std::string& dataset, const SlidingQuery& query) {
+  return SubmitStreaming(QueryRequest{dataset, query, ServeOptions{}});
 }
 
 Result<ServeResult> DangoronServer::Query(const QueryRequest& request) {
@@ -636,22 +639,31 @@ Result<std::shared_ptr<const PreparedDataset>> DangoronServer::GetOrPrepare(
   // the cache), the build failed, or we joined another build after all.
   std::promise<std::shared_ptr<const PreparedDataset>> promise;
   std::shared_future<std::shared_ptr<const PreparedDataset>> join;
+  std::shared_ptr<const PreparedDataset> landed;
   bool producer = false;
   {
     MutexLock lock(inflight_mutex_);
     auto it = inflight_prepares_.find(key);
     if (it != inflight_prepares_.end()) {
       join = it->second;
-    } else {
+    } else if (sketch_cache_.Contains(key)) {
+      // A concurrent build finished since the cache lookup above. Its
+      // producer publishes before it retires the in-flight entry, so this
+      // re-check under the lock sees every build that is no longer in
+      // flight.
+      landed = sketch_cache_.Get(key);
+    }
+    if (!join.valid() && landed == nullptr) {
       producer = true;
       inflight_prepares_.emplace(key, promise.get_future().share());
     }
   }
 
   if (!producer) {
-    // Another query is building this sketch right now; its task fulfills
-    // the future before it waits on anything, so this cannot cycle.
-    if (auto prepared = join.get()) {
+    // Another query is building this sketch right now (or just built it);
+    // its task fulfills the future before it waits on anything, so this
+    // cannot cycle.
+    if (auto prepared = landed != nullptr ? landed : join.get()) {
       if (queued_reservation) {
         admission_queue_.Release(estimate);  // joined: no budget consumed
       }
@@ -680,7 +692,7 @@ Result<std::shared_ptr<const PreparedDataset>> DangoronServer::GetOrPrepare(
   Rng jitter(fingerprint ^ (retry_seq.fetch_add(1) + 0x9e3779b97f4a7c15ull));
   while (!prepared_or.ok() && PrepareRetryable(prepared_or.status()) &&
          retries < kPrepareMaxRetries && !deadline.expired() &&
-         (stream == nullptr || !stream->cancelled())) {
+         !stream->cancelled()) {
     ++retries;
     double backoff_ms = static_cast<double>(int64_t{1} << (retries - 1)) *
                         (0.5 + jitter.NextDouble());
@@ -727,14 +739,12 @@ Result<std::shared_ptr<const PreparedDataset>> DangoronServer::GetOrPrepare(
   return prepared;
 }
 
-Status DangoronServer::RunWindowPlan(
-    const RequestContext& ctx, int64_t max_batch_windows,
-    WindowStreamState* stream, std::vector<WindowEdges>* got_out,
-    ServeResult* out, bool* exact_family_out, double* prepare_seconds_out,
-    int64_t* next_deliver_out) {
-  if (next_deliver_out != nullptr) {
-    *next_deliver_out = 0;
-  }
+Status DangoronServer::RunWindowPlan(const RequestContext& ctx,
+                                     int64_t max_batch_windows,
+                                     WindowStreamState& stream,
+                                     QueryAccounting* out,
+                                     int64_t* next_deliver_out) {
+  *next_deliver_out = 0;
   const std::shared_ptr<const TimeSeriesMatrix>& data = ctx.data;
   const uint64_t fingerprint = ctx.fingerprint;
   const SlidingQuery& query = ctx.query;
@@ -742,14 +752,10 @@ Status DangoronServer::RunWindowPlan(
   const int64_t b = options_.basic_window;
   RETURN_IF_ERROR(CheckQueryAligned(query));
 
-  Stopwatch prepare_timer;
   ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> prepared,
                    GetOrPrepare(data, fingerprint, query, ctx.admission,
-                                ctx.deadline, stream,
+                                ctx.deadline, &stream,
                                 &out->prepared_from_cache));
-  if (prepare_seconds_out != nullptr) {
-    *prepare_seconds_out = prepare_timer.ElapsedSeconds();
-  }
   RETURN_IF_ERROR(CheckIndexCoverage(query, prepared->index()));
 
   const int64_t num_windows = query.NumWindows();
@@ -759,9 +765,6 @@ Status DangoronServer::RunWindowPlan(
   const double canonical =
       CanonicalThreshold(query.threshold, query.absolute);
   const bool exact_family = SameThresholdBits(canonical, query.threshold);
-  if (exact_family_out != nullptr) {
-    *exact_family_out = exact_family;
-  }
   SlidingQuery eval = query;
   eval.threshold = canonical;
 
@@ -769,8 +772,8 @@ Status DangoronServer::RunWindowPlan(
     return QueryWindowKey(fingerprint, b, query, k, canonical);
   };
 
-  std::vector<WindowEdges>& got = *got_out;
-  got.assign(static_cast<size_t>(num_windows), nullptr);
+  // Windows resolved but not yet delivered, at the family threshold.
+  std::vector<WindowEdges> got(static_cast<size_t>(num_windows));
 
   // In-order streaming delivery of the contiguous finished prefix.
   // Filtering from the family threshold to the query's happens here, at the
@@ -790,7 +793,7 @@ Status DangoronServer::RunWindowPlan(
   int64_t filtered_index = -1;
   WindowEdges filtered_edges;
   auto deliver_ready = [&](bool blocking) {
-    if (stream == nullptr || delivery_cancelled) {
+    if (delivery_cancelled) {
       return;
     }
     while (next_deliver < num_windows &&
@@ -810,8 +813,8 @@ Status DangoronServer::RunWindowPlan(
         // itself a delivery the consumer is waiting on, so the producer
         // must not block past the abort point (PushUntil with
         // time_point::max() is plain Push).
-        switch (stream->PushUntil(std::move(window),
-                                  ctx.deadline.deadline())) {
+        switch (stream.PushUntil(std::move(window),
+                                 ctx.deadline.deadline())) {
           case PushResult::kPushed:
             break;
           case PushResult::kCancelled:
@@ -821,32 +824,32 @@ Status DangoronServer::RunWindowPlan(
             deadline_blown = true;
             return;
         }
-      } else if (!stream->TryPush(std::move(window))) {
+      } else if (!stream.TryPush(std::move(window))) {
         // TryPush also fails on a full queue, which is not terminal.
-        if (stream->cancelled()) {
+        if (stream.cancelled()) {
           delivery_cancelled = true;
         }
         return;
       }
-      // Streaming never assembles a series, so drop the plan's reference
-      // once delivered: peak memory is the queue plus the in-flight run,
-      // not the whole result (the cache keeps its own budgeted reference).
+      // Drop the plan's reference once delivered: peak memory is the queue
+      // plus the in-flight run, not the whole result (the cache keeps its
+      // own budgeted reference).
       got[static_cast<size_t>(next_deliver)] = nullptr;
       ++next_deliver;
     }
   };
   auto plan_cancelled = [&]() {
-    return delivery_cancelled || (stream != nullptr && stream->cancelled());
+    return delivery_cancelled || stream.cancelled();
   };
   // Every return funnels through here so the caller learns the resume
-  // point: for a streaming plan the first undelivered window, for a
-  // materialized one the windows retained in `got` speak for themselves.
+  // point: the first undelivered window.
   auto finish_plan = [&](Status status) {
-    if (next_deliver_out != nullptr) {
-      *next_deliver_out = next_deliver;
-    }
+    *next_deliver_out = next_deliver;
     return status;
   };
+  // Time spent inside engine passes: the kAuto cost model's sample. In-run
+  // delivery is non-blocking TryPush, so consumer pace never enters it.
+  double engine_seconds = 0.0;
   // Hard mid-run deadline abort: the only site that counts a deadline as
   // "fired mid-evaluation" (pre-start and admission checks count plain
   // deadline_exceeded elsewhere). Every window already delivered stayed
@@ -950,7 +953,7 @@ Status DangoronServer::RunWindowPlan(
       // than inheriting its error.
       bool join_cancelled = false;
       bool join_deadline = false;
-      WindowEdges edges = WaitForWindowClaim(join, stream, &join_cancelled,
+      WindowEdges edges = WaitForWindowClaim(join, &stream, &join_cancelled,
                                              ctx.deadline, &join_deadline);
       if (join_cancelled) {
         return finish_plan(Status::Cancelled(
@@ -964,8 +967,10 @@ Status DangoronServer::RunWindowPlan(
         SlidingQuery sub = eval;
         sub.start = query.start + k * query.step;
         sub.end = sub.start + query.window;
+        const Stopwatch pass_timer;
         auto single_or = DangoronEngine::QueryPrepared(
             engine_options, prepared->index(), sub, pool_.get(), nullptr);
+        engine_seconds += pass_timer.ElapsedSeconds();
         if (!single_or.ok()) {
           return finish_plan(single_or.status());
         }
@@ -1023,9 +1028,11 @@ Status DangoronServer::RunWindowPlan(
     SlidingQuery sub = eval;
     sub.start = query.start + k * query.step;
     sub.end = sub.start + (claimed - 1) * query.step + query.window;
+    const Stopwatch pass_timer;
     const Status eval_status = DangoronEngine::QueryPreparedToSink(
         engine_options, prepared->index(), sub, pool_.get(),
         /*stats=*/nullptr, &run_sink);
+    engine_seconds += pass_timer.ElapsedSeconds();
     if (!eval_status.ok()) {
       // Engine failure, sink-driven cancellation, or deadline abort
       // mid-run: fulfill the remaining claims with null so joiners
@@ -1052,13 +1059,28 @@ Status DangoronServer::RunWindowPlan(
     return finish_plan(
         Status::Cancelled("DangoronServer: stream cancelled mid-plan"));
   }
+  // Teach the kAuto cost model from plans that evaluated every window
+  // themselves: a plan that joined or cache-read windows divides by only
+  // its own computed windows, which would skew the sample.
+  if (out->windows_computed > 0 && out->windows_joined == 0 &&
+      out->windows_from_cache == 0) {
+    const auto [pair_lo, pair_hi] =
+        query.PairRange(prepared->index().num_pairs());
+    const double cells = static_cast<double>(out->windows_computed) *
+                         static_cast<double>(pair_hi - pair_lo);
+    if (cells > 0 && engine_seconds > 0) {
+      const double observed = engine_seconds * 1e9 / cells;
+      MutexLock lock(stats_mutex_);
+      exact_cell_ns_ = (1.0 - kExactCostAlpha) * exact_cell_ns_ +
+                       kExactCostAlpha * observed;
+    }
+  }
   return finish_plan(Status::Ok());
 }
 
 Status DangoronServer::RunApproxPlan(const RequestContext& ctx,
-                                     WindowStreamState* stream,
-                                     ServeResult* out,
-                                     CorrelationMatrixSeries* series_out,
+                                     WindowStreamState& stream,
+                                     QueryAccounting* out,
                                      int64_t first_window) {
   const SlidingQuery& full_query = ctx.query;
   RETURN_IF_ERROR(full_query.Validate(ctx.data->length()));
@@ -1066,15 +1088,9 @@ Status DangoronServer::RunApproxPlan(const RequestContext& ctx,
   RETURN_IF_ERROR(CheckQueryAligned(full_query));
   // Degradation continuation: evaluate only the window suffix from
   // `first_window`, delivering under the original indices — the exact plan
-  // already delivered [0, first_window). Streaming only: a materialized
-  // degrade reruns the whole range (its exact prefix was retained, not
-  // delivered, and jumping is range-dependent anyway).
+  // already delivered [0, first_window).
   SlidingQuery query = full_query;
   if (first_window > 0) {
-    if (stream == nullptr) {
-      return Status::Internal(
-          "RunApproxPlan: window-suffix continuation requires a stream");
-    }
     if (first_window >= full_query.NumWindows()) {
       return Status::Ok();  // everything already delivered
     }
@@ -1089,72 +1105,52 @@ Status DangoronServer::RunApproxPlan(const RequestContext& ctx,
   // reuse), and no claims (nothing here is joinable).
   ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> prepared,
                    GetOrPrepare(ctx.data, ctx.fingerprint, query,
-                                ctx.admission, ctx.deadline, stream,
+                                ctx.admission, ctx.deadline, &stream,
                                 &out->prepared_from_cache));
   RETURN_IF_ERROR(CheckIndexCoverage(query, prepared->index()));
-  const int64_t num_windows = query.NumWindows();
 
   DangoronOptions engine_options = ServingEngineOptions(b);
   engine_options.enable_jumping = true;  // the tier's whole point
 
+  // Blocking delivery is safe here: this path holds no window claims, so a
+  // slow consumer stalls only its own producer — but the request's deadline
+  // still bounds it (PushUntil). The jump walk emits its windows once the
+  // walk is done, so a deadline check per emitted window could only discard
+  // finished work; finished windows are delivered.
   EngineStats engine_stats;
-  Status status;
-  if (stream == nullptr) {
-    CollectingWindowSink sink;
-    status = DangoronEngine::QueryPreparedToSink(
-        engine_options, prepared->index(), query, pool_.get(), &engine_stats,
-        &sink);
-    if (status.ok()) {
-      *series_out = sink.TakeSeries();
-      out->windows_computed = num_windows;
-    }
-  } else {
-    // Blocking delivery is safe here: this path holds no window claims, so
-    // a slow consumer stalls only its own producer thread — but the
-    // request's deadline still bounds it (PushUntil), and each emitted
-    // window re-checks the clock: the approx tier enforces the hard
-    // deadline at window cadence.
-    bool deadline_hit = false;
-    CallbackWindowSink sink([&](int64_t k, std::vector<Edge> edges) {
-      auto shared_edges =
-          std::make_shared<std::vector<Edge>>(std::move(edges));
-      switch (stream->PushUntil(
-          StreamedWindow{first_window + k, std::move(shared_edges)},
-          ctx.deadline.deadline())) {
-        case PushResult::kPushed:
-          break;
-        case PushResult::kCancelled:
-          return false;
-        case PushResult::kDeadlineExceeded:
-          deadline_hit = true;
-          return false;
-      }
-      ++out->windows_computed;
-      if (ctx.deadline.expired()) {
+  bool deadline_hit = false;
+  CallbackWindowSink sink([&](int64_t k, std::vector<Edge> edges) {
+    auto shared_edges = std::make_shared<std::vector<Edge>>(std::move(edges));
+    switch (stream.PushUntil(
+        StreamedWindow{first_window + k, std::move(shared_edges)},
+        ctx.deadline.deadline())) {
+      case PushResult::kPushed:
+        break;
+      case PushResult::kCancelled:
+        return false;
+      case PushResult::kDeadlineExceeded:
         deadline_hit = true;
         return false;
-      }
-      return true;
-    });
-    status = DangoronEngine::QueryPreparedToSink(
-        engine_options, prepared->index(), query, pool_.get(), &engine_stats,
-        &sink);
-    if (deadline_hit) {
-      {
-        MutexLock lock(stats_mutex_);
-        ++stats_.deadline_exceeded;
-        ++stats_.deadline_aborted_mid_run;
-      }
-      out->cells_jumped = engine_stats.cells_jumped;
-      out->jumps = engine_stats.jumps;
-      return Status::DeadlineExceeded(
-          "DangoronServer: deadline expired mid-approx-plan — delivered ",
-          out->windows_computed, " of ",
-          full_query.NumWindows() - first_window, " windows");
     }
-  }
+    ++out->windows_computed;
+    return true;
+  });
+  const Status status = DangoronEngine::QueryPreparedToSink(
+      engine_options, prepared->index(), query, pool_.get(), &engine_stats,
+      &sink);
   out->cells_jumped = engine_stats.cells_jumped;
   out->jumps = engine_stats.jumps;
+  if (deadline_hit) {
+    {
+      MutexLock lock(stats_mutex_);
+      ++stats_.deadline_exceeded;
+      ++stats_.deadline_aborted_mid_run;
+    }
+    return Status::DeadlineExceeded(
+        "DangoronServer: deadline expired mid-approx-plan — delivered ",
+        out->windows_computed, " of ", full_query.NumWindows() - first_window,
+        " windows");
+  }
   if (status.code() == StatusCode::kCancelled) {
     return Status::Cancelled(
         "DangoronServer: stream cancelled mid-approx-plan");
@@ -1162,121 +1158,10 @@ Status DangoronServer::RunApproxPlan(const RequestContext& ctx,
   return status;
 }
 
-Result<ServeResult> DangoronServer::RunQuery(const RequestContext& ctx) {
-  if (ctx.deadline.expired()) {
-    // Attribute the failure to the tier that would have served it, so
-    // per-tier deadline accounting stays truthful.
-    ServeResult failed;
-    failed.tier_used = ResolveTier(ctx);
-    RecordQueryStats(failed, /*streaming=*/false);
-    MutexLock lock(stats_mutex_);
-    ++stats_.deadline_exceeded;
-    return Status::DeadlineExceeded(
-        "DangoronServer: request deadline passed before the query started");
-  }
-
-  // Graceful degradation, pre-run leg: an explicitly exact request whose
-  // deadline the exact cost estimate already misses is served approx up
-  // front under degrade=auto — a late exact answer is worse than an
-  // on-time approximate one (kAuto's own estimate-driven approx choice is
-  // selection, not degradation, and is not flagged).
-  const bool degrade_estimate =
-      ctx.tier == ServeTier::kExact &&
-      ctx.degrade == DegradePolicy::kAuto && ctx.deadline.has_deadline() &&
-      EstimateExactCostMs(ctx) > ctx.deadline.remaining_ms();
-
-  if (degrade_estimate || ResolveTier(ctx) == ServeTier::kApprox) {
-    ServeResult out;
-    out.tier_used = ServeTier::kApprox;
-    out.degraded = degrade_estimate;
-    CorrelationMatrixSeries series;
-    const Status plan = RunApproxPlan(ctx, /*stream=*/nullptr, &out, &series);
-    admission_queue_.NotifyReleased();  // the prepared handle is released
-    RecordQueryStats(out, /*streaming=*/false);
-    RETURN_IF_ERROR(plan);
-    out.series = std::move(series);
-    return out;
-  }
-
-  ServeResult out;
-  std::vector<WindowEdges> got;
-  bool exact_family = true;
-  double prepare_seconds = 0.0;
-  Stopwatch plan_timer;
-  const Status plan = RunWindowPlan(ctx, /*max_batch_windows=*/0,
-                                    /*stream=*/nullptr, &got, &out,
-                                    &exact_family, &prepare_seconds);
-  const double plan_ns =
-      (plan_timer.ElapsedSeconds() - prepare_seconds) * 1e9;
-  admission_queue_.NotifyReleased();  // the prepared handle is released
-  RecordQueryStats(out, /*streaming=*/false);
-  // Teach the kAuto cost model from warm queries that actually evaluated
-  // everything themselves: streaming queries fold consumer pace into the
-  // elapsed time, and a query that joined or cache-read windows folds
-  // foreign evaluation waits into plan_ns while dividing by only its own
-  // computed windows — any of which would inflate the sample arbitrarily.
-  // Prepare time — a cold build, an in-flight build join, or an
-  // admission-queue park — is subtracted outright (prepare_seconds).
-  if (plan.ok() && out.windows_computed > 0 && out.windows_joined == 0 &&
-      out.windows_from_cache == 0) {
-    const int64_t n = ctx.data->num_series();
-    const auto [pair_lo, pair_hi] = ctx.query.PairRange(n * (n - 1) / 2);
-    const double pairs = static_cast<double>(pair_hi - pair_lo);
-    const double cells = static_cast<double>(out.windows_computed) * pairs;
-    if (cells > 0 && plan_ns > 0) {
-      const double observed = plan_ns / cells;
-      MutexLock lock(stats_mutex_);
-      exact_cell_ns_ = (1.0 - kExactCostAlpha) * exact_cell_ns_ +
-                       kExactCostAlpha * observed;
-    }
-  }
-  // Graceful degradation, mid-run leg: an exact plan that died of resource
-  // exhaustion (admission refusal, budget pressure — real or injected) is
-  // rerun whole on the approx tier while the deadline still has budget.
-  // Only ResourceExhausted: other failures would fail approx identically,
-  // and a mid-run DeadlineExceeded means the budget is already gone.
-  if (plan.code() == StatusCode::kResourceExhausted &&
-      ctx.degrade == DegradePolicy::kAuto && ctx.tier != ServeTier::kApprox &&
-      !ctx.deadline.expired()) {
-    ServeResult degraded_out;
-    degraded_out.tier_used = ServeTier::kApprox;
-    degraded_out.degraded = true;
-    CorrelationMatrixSeries series;
-    const Status fallback =
-        RunApproxPlan(ctx, /*stream=*/nullptr, &degraded_out, &series);
-    admission_queue_.NotifyReleased();
-    {
-      // The submission was already counted by the RecordQueryStats above
-      // (one query, its exact-attempt window counters); fold in only what
-      // the fallback adds — not a second `queries` tick.
-      MutexLock lock(stats_mutex_);
-      ++stats_.queries_approx;
-      ++stats_.degraded_to_approx;
-      stats_.windows_computed += degraded_out.windows_computed;
-    }
-    RETURN_IF_ERROR(fallback);
-    degraded_out.series = std::move(series);
-    return degraded_out;
-  }
-  RETURN_IF_ERROR(plan);
-
-  // Assemble the response from the shared per-window edge sets, filtering
-  // family-threshold sets down to the query's exact threshold.
-  const int64_t n = ctx.data->num_series();
-  CorrelationMatrixSeries series(ctx.query, n);
-  for (int64_t k = 0; k < ctx.query.NumWindows(); ++k) {
-    const std::vector<Edge>& edges = *got[static_cast<size_t>(k)];
-    *series.MutableWindow(k) =
-        exact_family ? edges : FilterEdges(edges, ctx.query);
-  }
-  out.series = std::move(series);
-  return out;
-}
-
-void DangoronServer::RunStreamingQuery(
-    const RequestContext& ctx, int64_t max_batch_windows,
-    std::shared_ptr<WindowStreamState> stream) {
-  ServeResult out;
+void DangoronServer::ExecuteRequest(const RequestContext& ctx,
+                                    int64_t max_batch_windows, bool streaming,
+                                    WindowStreamState& stream) {
+  QueryAccounting out;
   Status status = Status::Ok();
   if (ctx.deadline.expired()) {
     out.tier_used = ResolveTier(ctx);  // truthful per-tier attribution
@@ -1285,9 +1170,13 @@ void DangoronServer::RunStreamingQuery(
       ++stats_.deadline_exceeded;
     }
     status = Status::DeadlineExceeded(
-        "DangoronServer: request deadline passed before the stream started");
+        "DangoronServer: request deadline passed before the query started");
   } else {
-    // Pre-run degradation leg — same rule as the materialized path.
+    // Graceful degradation, pre-run leg: an explicitly exact request whose
+    // deadline the exact cost estimate already misses is served approx up
+    // front under degrade=auto — a late exact answer is worse than an
+    // on-time approximate one (kAuto's own estimate-driven approx choice is
+    // selection, not degradation, and is not flagged).
     const bool degrade_estimate =
         ctx.tier == ServeTier::kExact &&
         ctx.degrade == DegradePolicy::kAuto && ctx.deadline.has_deadline() &&
@@ -1295,48 +1184,41 @@ void DangoronServer::RunStreamingQuery(
     if (degrade_estimate || ResolveTier(ctx) == ServeTier::kApprox) {
       out.tier_used = ServeTier::kApprox;
       out.degraded = degrade_estimate;
-      status = RunApproxPlan(ctx, stream.get(), &out, /*series_out=*/nullptr);
+      status = RunApproxPlan(ctx, stream, &out);
     } else {
-      std::vector<WindowEdges> got;
       int64_t next_deliver = 0;
-      status = RunWindowPlan(ctx, max_batch_windows, stream.get(), &got, &out,
-                             nullptr, nullptr, &next_deliver);
-      // Mid-run degradation leg: the exact plan died of resource
-      // exhaustion with deadline budget left — continue on the approx tier
+      status = RunWindowPlan(ctx, max_batch_windows, stream, &out,
+                             &next_deliver);
+      // Graceful degradation, mid-run leg: an exact plan that died of
+      // resource exhaustion (admission refusal, budget pressure — real or
+      // injected) with deadline budget left continues on the approx tier
       // from the first undelivered window, under the original indices, so
-      // the consumer still sees one ascending exactly-once sequence.
+      // the consumer still sees one ascending exactly-once sequence. Only
+      // ResourceExhausted: other failures would fail approx identically,
+      // and a mid-run DeadlineExceeded means the budget is already gone.
       if (status.code() == StatusCode::kResourceExhausted &&
           ctx.degrade == DegradePolicy::kAuto && !ctx.deadline.expired() &&
-          !stream->cancelled()) {
+          !stream.cancelled()) {
         out.tier_used = ServeTier::kApprox;
         out.degraded = true;
-        status = RunApproxPlan(ctx, stream.get(), &out,
-                               /*series_out=*/nullptr, next_deliver);
+        status = RunApproxPlan(ctx, stream, &out, next_deliver);
       }
     }
     admission_queue_.NotifyReleased();  // the prepared handle is released
   }
-  RecordQueryStats(out, /*streaming=*/true);
+  RecordQueryStats(out, streaming);
   if (status.code() == StatusCode::kCancelled) {
     // Consumer Cancel — or, through the wire layer, a client disconnect.
     MutexLock lock(stats_mutex_);
     ++stats_.streams_cancelled;
   }
-  StreamingSummary summary;
-  summary.tier_used = out.tier_used;
-  summary.prepared_from_cache = out.prepared_from_cache;
-  summary.windows_from_cache = out.windows_from_cache;
-  summary.windows_computed = out.windows_computed;
-  summary.windows_joined = out.windows_joined;
-  summary.cells_jumped = out.cells_jumped;
-  summary.jumps = out.jumps;
-  summary.degraded = out.degraded;
-  stream->Finish(std::move(status), summary);
+  stream.Finish(std::move(status), out);
 }
 
-void DangoronServer::RecordQueryStats(const ServeResult& out, bool streaming) {
+void DangoronServer::RecordQueryStats(const QueryAccounting& out,
+                                      bool streaming) {
   // Every submission counts, successful or not, and the window counters
-  // reflect the work actually done — one accounting rule for both paths.
+  // reflect the work actually done.
   MutexLock lock(stats_mutex_);
   ++stats_.queries;
   if (streaming) {
@@ -1358,6 +1240,7 @@ DangoronServerStats DangoronServer::stats() const {
   {
     MutexLock lock(stats_mutex_);
     snapshot = stats_;
+    snapshot.exact_cell_ns = exact_cell_ns_;
   }
   {
     // Leak check surface: claims still registered by in-flight plans. On a

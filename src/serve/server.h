@@ -106,7 +106,7 @@ using WindowClaimPtr = std::shared_ptr<WindowClaim>;
 /// from the in-flight map so new queries resolve through the cache.
 void FulfillWindowClaim(const WindowClaimPtr& claim, WindowEdges edges);
 
-/// Blocks until `claim` is fulfilled, `stream` (nullable) is cancelled, or
+/// Blocks until `claim` is fulfilled, `stream` (non-null) is cancelled, or
 /// `deadline` expires, whichever happens first; wakes on fulfillment and
 /// cancellation via condition variables (no polling), and times out at the
 /// deadline. Returns the claim's edges (null when the claimant failed) and
@@ -121,25 +121,8 @@ WindowEdges WaitForWindowClaim(const WindowClaimPtr& claim,
                                bool* deadline_hit = nullptr);
 
 /// Per-query outcome: the result series plus where its pieces came from.
-struct ServeResult {
+struct ServeResult : QueryAccounting {
   CorrelationMatrixSeries series;
-  /// The tier that actually answered (`kAuto` requests resolve to one of
-  /// the two before evaluation; never `kAuto` here).
-  ServeTier tier_used = ServeTier::kExact;
-  /// The prepared sketch was a cache (or in-flight dedup) hit — this query
-  /// paid no index build.
-  bool prepared_from_cache = false;
-  int64_t windows_from_cache = 0;  ///< served from the window-result cache
-  int64_t windows_computed = 0;    ///< evaluated by this query
-  int64_t windows_joined = 0;      ///< awaited from a concurrent query
-  /// Eq. 2 jump accounting from EngineStats (approx tier only — the exact
-  /// tier never jumps): pair-window cells skipped, and jump decisions.
-  int64_t cells_jumped = 0;
-  int64_t jumps = 0;
-  /// The request asked exact but was served approx by `DegradePolicy::kAuto`
-  /// (blown deadline estimate or mid-query resource exhaustion). Never set
-  /// by kAuto's own tier choice — that is selection, not degradation.
-  bool degraded = false;
 };
 
 /// Aggregate server counters (monotonic since construction).
@@ -164,7 +147,7 @@ struct DangoronServerStats {
   /// mid-stream disconnect becomes visible server-side).
   int64_t streams_cancelled = 0;
   /// Exact requests served approx by `DegradePolicy::kAuto` (see
-  /// ServeResult::degraded).
+  /// QueryAccounting::degraded).
   int64_t degraded_to_approx = 0;
   /// Transient prepare failures absorbed by the bounded retry loop
   /// (successful or not — each attempt after the first counts).
@@ -176,6 +159,9 @@ struct DangoronServerStats {
   /// in-flight map. Zero on a quiesced server — the chaos suite's leak
   /// check: a claim that survives its query was never retired.
   int64_t inflight_window_claims = 0;
+  /// Snapshot (not monotonic): the running exact-tier ns/cell estimate
+  /// behind kAuto's tier choice and the pre-run degradation check.
+  double exact_cell_ns = 0.0;
   LruCacheStats sketch_cache;
   LruCacheStats result_cache;
 };
@@ -198,10 +184,12 @@ struct DangoronServerStats {
 ///   identical concurrent submissions evaluate each window once. Windows
 ///   land in the cache *as they are evaluated*, so even a cancelled or
 ///   still-running query's prefix is reusable.
-/// - Queries run as tasks on one shared ThreadPool and parallelize their
-///   pair blocks on the same pool. `Submit` materializes the full series;
-///   `SubmitStreaming` delivers windows one by one through a bounded
-///   backpressured queue the moment each is final (see WindowStream).
+/// - Every query runs one execution path: a plan that delivers windows in
+///   order into a `WindowStreamState` the moment each is final.
+///   `SubmitStreaming` hands the consumer that stream through a bounded
+///   backpressured queue (see WindowStream); `Submit` runs the plan as a
+///   task on the shared ThreadPool into a queue that holds every window,
+///   then collects the series. Pair blocks parallelize on the same pool.
 ///
 /// Service tiers (`ServeOptions::tier`): the exact tier answers in exact
 /// incremental mode (no Eq. 2 jumping) through the shared window cache —
@@ -214,8 +202,9 @@ struct DangoronServerStats {
 /// never writes it — range-dependent windows must not be published), so
 /// approx traffic cannot perturb exact results. `kAuto` picks approx when
 /// the request's deadline is tighter than the server's estimate of the
-/// exact evaluation cost (a running estimate learned from warm exact
-/// queries, pessimistically seeded), exact otherwise.
+/// exact evaluation cost (a running estimate learned from exact plans that
+/// evaluated every window themselves, pessimistically seeded), exact
+/// otherwise.
 ///
 /// Thread-safe: every public method may be called from any thread.
 class DangoronServer {
@@ -289,9 +278,8 @@ class DangoronServer {
   /// behavior to the pre-request API for default-configured servers.
   std::future<Result<ServeResult>> Submit(const std::string& dataset,
                                           const SlidingQuery& query);
-  std::unique_ptr<WindowStream> SubmitStreaming(
-      const std::string& dataset, const SlidingQuery& query,
-      const StreamingSubmitOptions& stream_options = {});
+  std::unique_ptr<WindowStream> SubmitStreaming(const std::string& dataset,
+                                                const SlidingQuery& query);
   Result<ServeResult> Query(const std::string& dataset,
                             const SlidingQuery& query);
 
@@ -339,8 +327,8 @@ class DangoronServer {
   ServeTier ResolveTier(const RequestContext& ctx) const;
 
   /// Estimated exact-tier evaluation cost of the request: uncached cells x
-  /// the running ns/cell estimate (learned from warm materialized exact
-  /// queries, pessimistically seeded — see kExactCostSeedNsPerCell).
+  /// the running ns/cell estimate (learned by RunWindowPlan, pessimistically
+  /// seeded — see kExactCostSeedNsPerCell).
   /// Windows already in the result cache are discounted — a warm range is
   /// a near-free exact answer. Excludes prepare cost: both tiers share the
   /// prepared sketch, so it cannot differentiate them.
@@ -367,84 +355,66 @@ class DangoronServer {
   Status CheckIndexCoverage(const SlidingQuery& query,
                             const BasicWindowIndex& index) const;
 
-  /// The exact-tier core of materialized and streaming submissions: walks
-  /// the query's windows in order, resolving each from the result cache, a
-  /// concurrent query's in-flight claim, or its own evaluation in
-  /// contiguous claimed runs of at most `max_batch_windows` (0 =
-  /// unbounded). Evaluation drives the exact engine's native window
-  /// emission: each window is cache-Put and its claim fulfilled the moment
-  /// the engine emits it — mid-run, not at run end — so joiners and
+  /// The exact-tier plan: walks the query's windows in order, resolving
+  /// each from the result cache, a concurrent query's in-flight claim, or
+  /// its own evaluation in contiguous claimed runs of at most
+  /// `max_batch_windows` (0 = unbounded), and delivers the contiguous
+  /// finished prefix in order through `stream` (filtered from the family
+  /// threshold to the query's). Evaluation drives the exact engine's native
+  /// window emission: each window is cache-Put and its claim fulfilled the
+  /// moment the engine emits it — mid-run, not at run end — so joiners and
   /// overlapping queries see windows at window cadence, and the task never
   /// holds an unfulfilled claim across a blocking wait (delivery inside a
   /// run uses non-blocking TryPush; blocking backpressure delivery happens
   /// only between runs, with no claims held — the no-deadlock invariant).
-  /// Join waits are cancellable: a streaming plan blocked on another
-  /// query's claim wakes on its own stream's Cancel (see WaitForWindowClaim)
-  /// instead of waiting out the foreign evaluation. When `stream` is
-  /// non-null, the contiguous prefix is delivered in order through the
-  /// stream's bounded queue (filtered from the family threshold to the
-  /// query's) and released from `got` after delivery; otherwise `got`
-  /// retains the family-threshold edge set per window for assembly.
-  /// `exact_family_out` (optional) reports whether the query threshold sits
-  /// on the family grid (no assembly filtering needed). Returns Cancelled
-  /// when the stream cancels mid-plan; cached windows computed before that
-  /// remain reusable.
-  /// `prepare_seconds_out` (optional) reports the time spent inside
-  /// GetOrPrepare — including any in-flight build join or admission-queue
-  /// park — so the caller's cost-model sample can subtract waits that are
-  /// not evaluation. The request's deadline is enforced *mid-plan*: the
-  /// walk checks it per window, claimed-run evaluation checks it at the
-  /// engine's band cadence, and claim joins / backpressure delivery time
-  /// out on it — a blown deadline aborts with DeadlineExceeded after
-  /// delivering (and caching) every window completed before it.
-  /// `next_deliver_out` (optional) reports the first window index NOT yet
-  /// delivered/retained when the plan stops early — the resume point a
-  /// degrading caller continues an approx plan from.
+  /// Join waits are cancellable: a plan blocked on another query's claim
+  /// wakes on its own stream's Cancel (see WaitForWindowClaim) instead of
+  /// waiting out the foreign evaluation. Returns Cancelled when the stream
+  /// cancels mid-plan; cached windows computed before that remain reusable.
+  /// The request's deadline is enforced *mid-plan*: the walk checks it per
+  /// window, claimed-run evaluation checks it at the engine's band cadence,
+  /// and claim joins / backpressure delivery time out on it — a blown
+  /// deadline aborts with DeadlineExceeded after delivering (and caching)
+  /// every window completed before it. `*next_deliver_out` reports the
+  /// first window index not yet delivered — the resume point a degrading
+  /// caller continues an approx plan from. A plan that succeeds having
+  /// evaluated every window itself (none joined or cache-read) teaches the
+  /// kAuto cost model its engine passes' ns/cell.
   Status RunWindowPlan(const RequestContext& ctx, int64_t max_batch_windows,
-                       WindowStreamState* stream,
-                       std::vector<WindowEdges>* got, ServeResult* out,
-                       bool* exact_family_out,
-                       double* prepare_seconds_out = nullptr,
-                       int64_t* next_deliver_out = nullptr);
+                       WindowStreamState& stream, QueryAccounting* out,
+                       int64_t* next_deliver_out);
 
-  /// The approx-tier core shared by the materialized and streaming paths:
-  /// runs the request through the Eq. 2 jumping engine against the shared
-  /// prepared sketch, *never touching the window-result cache* (jumped
-  /// windows are range-dependent — publishing them would poison exact
-  /// reuse, and reading cached exact windows would make the jump pattern
-  /// cache-dependent). With `stream` null the series is materialized into
-  /// `series_out`; otherwise each window is delivered through the stream's
-  /// bounded queue (blocking is safe — this path holds no claims).
+  /// The approx-tier plan: runs the request through the Eq. 2 jumping
+  /// engine against the shared prepared sketch, *never touching the
+  /// window-result cache* (jumped windows are range-dependent — publishing
+  /// them would poison exact reuse, and reading cached exact windows would
+  /// make the jump pattern cache-dependent), and delivers each window
+  /// through `stream` (blocking is safe — this path holds no claims).
   /// `first_window` > 0 evaluates only the query's window suffix starting
   /// there (delivered under the original indices) — the degradation path's
   /// continuation after an exact plan already delivered a prefix. The
-  /// deadline is enforced at window cadence on the streaming path.
-  Status RunApproxPlan(const RequestContext& ctx, WindowStreamState* stream,
-                       ServeResult* out, CorrelationMatrixSeries* series_out,
-                       int64_t first_window = 0);
+  /// deadline bounds delivery to a slow consumer; the jump walk emits its
+  /// windows once it is done, so finished windows are always delivered.
+  Status RunApproxPlan(const RequestContext& ctx, WindowStreamState& stream,
+                       QueryAccounting* out, int64_t first_window = 0);
 
-  /// The body of one materialized request, run as a pool task: deadline
-  /// pre-check, tier resolution, then the exact plan + assembly or the
-  /// approx plan.
-  Result<ServeResult> RunQuery(const RequestContext& ctx);
+  /// The body of every request: deadline pre-check, tier resolution, the
+  /// pre-run and mid-run degradation legs, then the exact or approx plan
+  /// into `stream`, which it always finishes with the request's status and
+  /// accounting. `streaming` marks a SubmitStreaming request in the stats.
+  void ExecuteRequest(const RequestContext& ctx, int64_t max_batch_windows,
+                      bool streaming, WindowStreamState& stream);
 
-  /// The body of one streaming request, run on its dedicated producer
-  /// thread; always finishes `stream`.
-  void RunStreamingQuery(const RequestContext& ctx,
-                         int64_t max_batch_windows,
-                         std::shared_ptr<WindowStreamState> stream);
-
-  /// Folds one submission's accounting into the aggregate counters — the
-  /// single rule both the materialized and streaming paths use.
-  void RecordQueryStats(const ServeResult& out, bool streaming);
+  /// Folds one submission's accounting into the aggregate counters.
+  void RecordQueryStats(const QueryAccounting& out, bool streaming);
 
   /// Returns the prepared sketch for (fingerprint, basic_window), building
   /// it at most once across concurrent callers: cache hit, else join an
   /// in-flight build, else admission control, else build + publish. Under
   /// `AdmissionPolicy::kQueue` a build that does not fit the free
   /// sketch-cache budget parks in the admission queue until evictions free
-  /// budget, `deadline` passes (DeadlineExceeded), or `stream` (nullable)
-  /// is cancelled; under `kRefuse` the historical refuse-oversized check
+  /// budget, `deadline` passes (DeadlineExceeded), or `stream` is
+  /// cancelled; under `kRefuse` the historical refuse-oversized check
   /// applies. Transient build failures (IoError, Internal — injected or
   /// real) are retried up to kPrepareMaxRetries times with jittered
   /// exponential backoff bounded by the remaining deadline;
@@ -506,12 +476,11 @@ class DangoronServer {
   std::vector<ActiveStream> active_streams_ GUARDED_BY(streams_mutex_);
 
   // Aggregate counters (guarded by stats_mutex_), plus the running exact
-  // ns/cell estimate behind kAuto's tier choice: an EWMA over materialized
-  // exact queries that evaluated every window themselves (prepare time —
-  // builds, joins, admission parks — subtracted; joined/cache-read plans
-  // skipped), seeded pessimistically so a fresh server under tight
-  // deadlines leans approx — the latency-safe direction — until real
-  // measurements arrive.
+  // ns/cell estimate behind kAuto's tier choice: an EWMA over the engine
+  // passes of exact plans that evaluated every window themselves
+  // (joined/cache-read plans skipped), seeded pessimistically so a fresh
+  // server under tight deadlines leans approx — the latency-safe direction
+  // — until real measurements arrive.
   mutable Mutex stats_mutex_;
   DangoronServerStats stats_ GUARDED_BY(stats_mutex_);
   double exact_cell_ns_ GUARDED_BY(stats_mutex_);

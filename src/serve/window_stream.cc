@@ -76,7 +76,7 @@ void WindowStreamState::RemoveCancelWaker(const CancelWaker* waker) {
   }
 }
 
-void WindowStreamState::Finish(Status status, const StreamingSummary& summary) {
+void WindowStreamState::Finish(Status status, const QueryAccounting& summary) {
   MutexLock lock(mutex_);
   finished_ = true;
   status_ = std::move(status);
@@ -102,6 +102,14 @@ std::optional<StreamedWindow> WindowStreamState::Next() {
     return window;
   }
   return std::nullopt;
+}
+
+std::deque<StreamedWindow> WindowStreamState::TakeQueued() {
+  std::deque<StreamedWindow> taken;
+  MutexLock lock(mutex_);
+  taken.swap(queue_);
+  can_push_.NotifyAll();
+  return taken;
 }
 
 void WindowStreamState::Cancel() {
@@ -130,7 +138,7 @@ Status WindowStreamState::status() const {
   return status_;
 }
 
-StreamingSummary WindowStreamState::summary() const {
+QueryAccounting WindowStreamState::summary() const {
   MutexLock lock(mutex_);
   return summary_;
 }

@@ -15,28 +15,6 @@
 
 namespace dangoron {
 
-/// Per-stream knobs of `DangoronServer::SubmitStreaming`.
-struct StreamingSubmitOptions {
-  /// Capacity of the bounded delivery queue between the query task and the
-  /// consumer. When it is full the producer blocks (backpressure): a slow
-  /// consumer bounds the stream's memory at `queue_capacity` windows instead
-  /// of the whole result.
-  int64_t queue_capacity = kDefaultStreamQueueCapacity;
-
-  /// Cap on the contiguous window run one engine pass claims and evaluates
-  /// (0 = unbounded). Within a run the exact engine emits natively window
-  /// by window — each window is cached, claim-fulfilled, and delivered
-  /// (non-blocking) the moment it lands — but delivery only *waits* for a
-  /// slow consumer between runs, so the cap is what bounds a stream's
-  /// undelivered backlog at queue_capacity plus one run of windows (0
-  /// trades that bound for maximal sweep-band locality: the whole run is
-  /// evaluated even if the consumer stalls, and the result accumulates
-  /// until delivered). It also bounds claim granularity toward concurrent
-  /// identical queries and the stream's cancel latency. Serving evaluates
-  /// exactly (no jumping), so run chopping never changes results.
-  int64_t max_batch_windows = kDefaultMaxBatchWindows;
-};
-
 /// One delivered window of a streaming submission.
 struct StreamedWindow {
   int64_t window_index = 0;
@@ -44,23 +22,6 @@ struct StreamedWindow {
   /// *query's* threshold (family-cached windows are filtered before
   /// delivery). Shared immutably with the server's window cache.
   WindowEdges edges;
-};
-
-/// Source accounting of one streaming submission (the streaming face of
-/// `ServeResult`); complete once the stream finished.
-struct StreamingSummary {
-  /// The tier that actually served the stream (`kAuto` resolves to one of
-  /// the two before evaluation starts; never `kAuto` here).
-  ServeTier tier_used = ServeTier::kExact;
-  bool prepared_from_cache = false;
-  int64_t windows_from_cache = 0;
-  int64_t windows_computed = 0;
-  int64_t windows_joined = 0;
-  /// Eq. 2 jump accounting (approx tier only; see EngineStats).
-  int64_t cells_jumped = 0;
-  int64_t jumps = 0;
-  /// The request asked exact but degrade=auto served (part of) it approx.
-  bool degraded = false;
 };
 
 /// A condition variable a consumer blocked on something *other than* the
@@ -122,7 +83,7 @@ class WindowStreamState {
   bool TryPush(StreamedWindow window);
 
   /// Terminal: publishes the stream's status and accounting, wakes everyone.
-  void Finish(Status status, const StreamingSummary& summary);
+  void Finish(Status status, const QueryAccounting& summary);
 
   bool cancelled() const;
 
@@ -143,6 +104,11 @@ class WindowStreamState {
   /// `Finish`), so a nullopt return always means the producer is done.
   std::optional<StreamedWindow> Next();
 
+  /// Takes every queued window at once, in order, without blocking: the
+  /// bulk `Next` of a consumer that reads an already finished stream
+  /// (`DangoronServer::Submit` collecting its series).
+  std::deque<StreamedWindow> TakeQueued();
+
   /// Requests cancellation: drops queued windows (releasing their slots so
   /// a blocked producer wakes immediately) and makes further Push fail.
   void Cancel();
@@ -153,7 +119,7 @@ class WindowStreamState {
   Status status() const;
 
   /// Source accounting; meaningful once `Next` returned nullopt.
-  StreamingSummary summary() const;
+  QueryAccounting summary() const;
 
   bool finished() const;
 
@@ -167,7 +133,7 @@ class WindowStreamState {
   bool cancelled_ GUARDED_BY(mutex_) = false;
   bool finished_ GUARDED_BY(mutex_) = false;
   Status status_ GUARDED_BY(mutex_) = Status::Ok();
-  StreamingSummary summary_ GUARDED_BY(mutex_);
+  QueryAccounting summary_ GUARDED_BY(mutex_);
 };
 
 /// Consumer handle of one `DangoronServer::SubmitStreaming` call. Windows
@@ -211,7 +177,7 @@ class WindowStream {
   Status status() const { return state_->status(); }
 
   /// Source accounting; meaningful once Next() returned nullopt.
-  StreamingSummary summary() const { return state_->summary(); }
+  QueryAccounting summary() const { return state_->summary(); }
 
  private:
   std::shared_ptr<WindowStreamState> state_;

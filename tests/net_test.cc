@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -135,6 +136,23 @@ class WireE2ETest : public ::testing::Test {
       return nullptr;
     }
     return WireClient::Adopt(fds[1]);
+  }
+
+  /// Bytes an AF_UNIX socketpair can hold for a peer that stops reading:
+  /// the sender's SO_SNDBUF plus the receiver's SO_RCVBUF (an upper bound —
+  /// stream unix sockets charge only the sender).
+  static int64_t SocketpairBufferBytes() {
+    int fds[2];
+    CHECK(socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
+    int sndbuf = 0;
+    int rcvbuf = 0;
+    socklen_t len = sizeof(sndbuf);
+    CHECK(getsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, &len) == 0);
+    len = sizeof(rcvbuf);
+    CHECK(getsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &rcvbuf, &len) == 0);
+    close(fds[0]);
+    close(fds[1]);
+    return int64_t{sndbuf} + int64_t{rcvbuf};
   }
 
   /// Polls `predicate` for up to two seconds — stats updated by the IO
@@ -368,13 +386,48 @@ TEST_F(WireE2ETest, DisconnectMidStreamCancelsProducer) {
   WireServer wire(&server_, options);
   ASSERT_TRUE(wire.Start().ok());
 
+  // A wide answer: 64 series over 197 windows, dense at |c| >= 0.1.
+  Rng rng(11);
+  const TimeSeriesMatrix wide =
+      GenerateWhiteNoise(64, kBasicWindow * 200, &rng);
+  ASSERT_TRUE(server_.AddDataset("wide", wide).ok());
+  WireRequest wide_request;
+  wide_request.dataset = "wide";
+  wide_request.query = TestQuery();
+  wide_request.query.end = wide.length();
+  wide_request.options.queue_capacity = 2;  // tight producer queue
+  wide_request.options.max_batch_windows = 1;
+
+  // Checked precondition: the producer cannot finish before the client
+  // vanishes. The client reads one window; until then, finished windows can
+  // wait only in the socketpair's buffers, the outbuf (watermark plus one
+  // frame), the client's 64 KiB read chunk (plus a partial frame), the
+  // worker's hand and the stream queue. The answer encodes to more.
+  {
+    DangoronServer reference(ServerOptions());
+    ASSERT_TRUE(reference.AddDataset("wide", wide).ok());
+    auto answer = reference.Query("wide", wide_request.query);
+    ASSERT_TRUE(answer.ok()) << answer.status().message();
+    int64_t answer_bytes = 0;
+    int64_t max_frame = 0;
+    for (int64_t k = 0; k < answer->series.num_windows(); ++k) {
+      std::string frame;
+      EncodeWindowFrame(k, answer->series.WindowEdges(k), &frame);
+      answer_bytes += static_cast<int64_t>(frame.size());
+      max_frame = std::max(max_frame, static_cast<int64_t>(frame.size()));
+    }
+    const int64_t absorbable =
+        SocketpairBufferBytes() + options.outbuf_high_watermark +
+        (int64_t{64} << 10) +
+        (wide_request.options.queue_capacity + 4) * max_frame;
+    ASSERT_GT(answer_bytes, absorbable)
+        << "the answer fits in the buffers: the producer could finish Ok "
+           "before the disconnect lands";
+  }
+
   {
     auto client = ConnectOverSocketpair(&wire);
-    WireRequest request;
-    request.dataset = "d";
-    request.query = TestQuery();
-    request.options.queue_capacity = 2;  // tight producer queue
-    ASSERT_TRUE(client->Submit(request).ok());
+    ASSERT_TRUE(client->Submit(wide_request).ok());
     // Read exactly one window, then vanish (the destructor closes the fd).
     auto window = client->Next();
     ASSERT_TRUE(window.ok());

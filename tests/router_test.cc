@@ -841,6 +841,7 @@ class RouterE2ETest : public ::testing::Test {
     CHECK(server->AddDataset("d", std::move(data)).ok());
     WireServerOptions wire_options;
     wire_options.port = -1;  // connections arrive only via AddConnection
+    wire_options.outbuf_high_watermark = shard_outbuf_watermark_;
     auto wire = std::make_unique<WireServer>(server.get(), wire_options);
     CHECK(wire->Start().ok());
     servers_.push_back(std::move(server));
@@ -905,6 +906,74 @@ class RouterE2ETest : public ::testing::Test {
     return request;
   }
 
+  /// Bytes an AF_UNIX socketpair can hold for a peer that stops reading:
+  /// the sender's SO_SNDBUF plus the receiver's SO_RCVBUF (an upper bound —
+  /// stream unix sockets charge only the sender).
+  static int64_t SocketpairBufferBytes() {
+    int fds[2];
+    CHECK(socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
+    int sndbuf = 0;
+    int rcvbuf = 0;
+    socklen_t len = sizeof(sndbuf);
+    CHECK(getsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, &len) == 0);
+    len = sizeof(rcvbuf);
+    CHECK(getsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &rcvbuf, &len) == 0);
+    close(fds[0]);
+    close(fds[1]);
+    return int64_t{sndbuf} + int64_t{rcvbuf};
+  }
+
+  /// Encoded Window-frame sizes of `query`'s in-process answer over data_:
+  /// the bytes of every window after the first `consumed` (what a client
+  /// that read that many windows leaves undelivered) and the largest frame.
+  void AnswerFrameBytes(const SlidingQuery& query, int64_t consumed,
+                        int64_t* remainder_bytes, int64_t* max_frame) {
+    *remainder_bytes = 0;
+    *max_frame = 0;
+    DangoronServer reference(ServerOptions());
+    ASSERT_TRUE(reference.AddDataset("d", data_).ok());
+    auto answer = reference.Query("d", query);
+    ASSERT_TRUE(answer.ok()) << answer.status().message();
+    for (int64_t k = 0; k < answer->series.num_windows(); ++k) {
+      std::string frame;
+      EncodeWindowFrame(k, answer->series.WindowEdges(k), &frame);
+      *max_frame = std::max(*max_frame, static_cast<int64_t>(frame.size()));
+      if (k >= consumed) {
+        *remainder_bytes += static_cast<int64_t>(frame.size());
+      }
+    }
+  }
+
+  /// Checked precondition of the shard-kill tests: shard `shard` of a
+  /// `shards`-way split cannot have sent its whole answer by the time the
+  /// consumer has read `consumed` merged windows. The windows after those
+  /// encode to more than everything between its producer and the consumer
+  /// can hold: the socketpair's buffers, the shard's outbuf watermark, two
+  /// 64 KiB client read chunks, and whole frames in the shard's stream
+  /// queue and run, its wire worker, the outbuf overshoot, the client's
+  /// partial read, the merge's skew window, emitter and downstream queue.
+  void AssertShardCannotFinishBefore(const WireRequest& request, int shards,
+                                     int shard, int64_t consumed) {
+    const auto [pair_begin, pair_end] =
+        SplitPairRanges(NumPairs(), shards)[static_cast<size_t>(shard)];
+    SlidingQuery slice = request.query;
+    slice.pair_begin = pair_begin;
+    slice.pair_end = pair_end;
+    int64_t remainder_bytes = 0;
+    int64_t max_frame = 0;
+    AnswerFrameBytes(slice, consumed, &remainder_bytes, &max_frame);
+    const int64_t frames =
+        consumed + 2 * request.options.queue_capacity +
+        request.options.max_batch_windows +
+        ShardMergeOptions().max_skew_windows + 5;
+    const int64_t absorbable = SocketpairBufferBytes() +
+                               shard_outbuf_watermark_ +
+                               2 * (int64_t{64} << 10) + frames * max_frame;
+    ASSERT_GT(remainder_bytes, absorbable)
+        << "shard " << shard << " (pairs [" << pair_begin << ", " << pair_end
+        << ")): the rest of its answer fits in the buffers";
+  }
+
   static bool PollFor(const std::function<bool()>& predicate) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(2);
@@ -963,6 +1032,8 @@ class RouterE2ETest : public ::testing::Test {
   }
 
   int64_t length_ = 0;
+  /// Outbuf watermark of shard WireServers added from now on.
+  int64_t shard_outbuf_watermark_ = WireServerOptions().outbuf_high_watermark;
   std::shared_ptr<const TimeSeriesMatrix> data_;
   std::vector<std::unique_ptr<DangoronServer>> servers_;
   std::vector<std::unique_ptr<WireServer>> wires_;  // after servers_: stops
@@ -1023,16 +1094,22 @@ TEST_F(RouterE2ETest, FingerprintDriftOnOneShardFailsTheQuery) {
 }
 
 TEST_F(RouterE2ETest, CancelMidStreamReleasesAllShardsWithNoLeakedClaims) {
-  StartShards(2, /*num_basic_windows=*/64);  // 61 windows: genuinely mid-
-                                             // stream when the cancel lands
+  // A small shard outbuf: the shard's wire worker blocks early.
+  shard_outbuf_watermark_ = int64_t{1} << 14;
+  StartShards(2, /*num_basic_windows=*/128);  // 125 windows: genuinely mid-
+                                              // stream when the cancel lands
   ShardRouter router(RouterOptions());
   WireRequest request = TestRequest();
   request.options.queue_capacity = 2;  // tight downstream queue
-  // Near-dense edge sets: the undelivered remainder is megabytes per
-  // shard, far past what the stream queue plus socket buffers can absorb,
-  // so no producer can slip to a clean Ok finish before the cancel frame
-  // reaches it.
+  // Near-dense edge sets, so each shard's undelivered remainder is large.
   request.query.threshold = 0.01;
+
+  // Checked precondition: no shard's producer can slip to a clean Ok
+  // finish before the cancel frame reaches it.
+  for (int shard = 0; shard < 2; ++shard) {
+    AssertShardCannotFinishBefore(request, 2, shard, /*consumed=*/1);
+  }
+
   auto merge = router.Submit(request, NumPairs());
   ASSERT_TRUE(merge.ok()) << merge.status().message();
 
@@ -1062,6 +1139,47 @@ TEST_F(RouterE2ETest, CancelMidStreamReleasesAllShardsWithNoLeakedClaims) {
   EXPECT_EQ(windows, ExpectedWindows());
 }
 
+// A routed query's terminal accounting is the fold of its shards': the
+// cold query paid builds, and a repeat in another threshold family reuses
+// every shard's sketch (prepared_from_cache) while recomputing its windows,
+// reporting exactly the windows the shards computed.
+TEST_F(RouterE2ETest, RoutedAccountingFoldsCachedPrepareAndShardComputeSum) {
+  StartShards(2);
+  ShardRouter router(RouterOptions());
+  auto run = [&](const WireRequest& request) -> WireSummary {
+    auto merge = router.Submit(request, NumPairs());
+    EXPECT_TRUE(merge.ok()) << merge.status().message();
+    if (!merge.ok()) {
+      return WireSummary{};
+    }
+    while ((*merge)->Next().has_value()) {
+    }
+    EXPECT_TRUE((*merge)->status().ok()) << (*merge)->status().message();
+    return (*merge)->summary();
+  };
+  auto shard_windows_computed = [&] {
+    int64_t total = 0;
+    for (const auto& server : servers_) {
+      total += server->stats().windows_computed;
+    }
+    return total;
+  };
+
+  const WireSummary cold = run(TestRequest());
+  EXPECT_FALSE(cold.prepared_from_cache);  // the shards built
+  EXPECT_EQ(cold.windows_computed, shard_windows_computed());
+
+  WireRequest repeat = TestRequest();
+  repeat.query.threshold = 0.5;  // another family: no window-cache hits
+  const int64_t computed_before = shard_windows_computed();
+  const WireSummary warm = run(repeat);
+  EXPECT_TRUE(warm.prepared_from_cache);
+  EXPECT_EQ(warm.windows_computed, shard_windows_computed() - computed_before);
+  EXPECT_EQ(warm.windows_computed,
+            static_cast<int64_t>(servers_.size()) * ExpectedWindows());
+  EXPECT_EQ(warm.windows_delivered, ExpectedWindows());
+}
+
 TEST_F(RouterE2ETest, TryPushSkewFailpointStillMergesByteIdentically) {
   if (!kFailpointsCompiled) {
     GTEST_SKIP() << "failpoints compiled out (DANGORON_FAILPOINTS=OFF)";
@@ -1087,10 +1205,12 @@ TEST_F(RouterE2ETest, TryPushSkewFailpointStillMergesByteIdentically) {
 // ---------------------------------------------------------- E2E failover --
 
 TEST_F(RouterE2ETest, KilledShardMidStreamFailsOverByteIdentical) {
-  // 61 windows and a skew bound of 8: when the kill lands at window 2, the
-  // dying shard has delivered at most ~10 windows — the failover genuinely
-  // resumes mid-query, and the merged bytes must not show it.
-  StartShards(3, /*num_basic_windows=*/64);
+  // 253 windows behind small shard outbufs: when the kill lands at window
+  // 2, the dying shard cannot have sent its whole answer — the failover
+  // genuinely resumes mid-query, and the merged bytes must not show it.
+  shard_outbuf_watermark_ = int64_t{1} << 14;
+  StartShards(3, /*num_basic_windows=*/256);
+  AssertShardCannotFinishBefore(TestRequest(), 3, 1, /*consumed=*/3);
   ShardRouter router(RouterOptions());
   auto merge = router.Submit(TestRequest(), NumPairs());
   ASSERT_TRUE(merge.ok()) << merge.status().message();
@@ -1119,7 +1239,9 @@ TEST_F(RouterE2ETest, FailoverBuildsSurvivorsOnlyTheDeadRangesSketches) {
   // dies, its range splits tile-aligned over the survivors, and each
   // survivor prepares a range sketch of exactly its new piece — never a
   // full sketch — while the merged bytes stay those of the unsharded run.
-  StartShards(3, /*num_basic_windows=*/64);
+  shard_outbuf_watermark_ = int64_t{1} << 14;
+  StartShards(3, /*num_basic_windows=*/256);
+  AssertShardCannotFinishBefore(TestRequest(), 3, 1, /*consumed=*/3);
   ShardRouter router(RouterOptions());
   auto merge = router.Submit(TestRequest(), NumPairs());
   ASSERT_TRUE(merge.ok()) << merge.status().message();
@@ -1153,12 +1275,14 @@ TEST_F(RouterE2ETest, FailoverBuildsSurvivorsOnlyTheDeadRangesSketches) {
 }
 
 TEST_F(RouterE2ETest, KilledShardWithFailoverDisabledFailsPrefixed) {
-  StartShards(3, /*num_basic_windows=*/64);
+  shard_outbuf_watermark_ = int64_t{1} << 14;
+  StartShards(3, /*num_basic_windows=*/256);
   ShardRouterOptions options = RouterOptions();
   options.max_failovers = 0;  // the PR 8 behavior: first death is fatal
   ShardRouter router(options);
   WireRequest request = TestRequest();
   request.options.queue_capacity = 2;
+  AssertShardCannotFinishBefore(request, 3, 1, /*consumed=*/1);
   auto merge = router.Submit(request, NumPairs());
   ASSERT_TRUE(merge.ok()) << merge.status().message();
 
@@ -1495,21 +1619,47 @@ TEST_F(RouterE2ETest, RouterServerAnswersWhenTheMergeEnds) {
 }
 
 TEST_F(RouterE2ETest, RouterServerDisconnectCancelsEveryShard) {
-  StartShards(2, /*num_basic_windows=*/64);
+  // A small shard outbuf: the shards' wire workers block early.
+  shard_outbuf_watermark_ = int64_t{1} << 14;
+  StartShards(2, /*num_basic_windows=*/128);
   ShardRouter router(RouterOptions());
   RouterServerOptions options;
   options.port = -1;
   RouterServer front(&router, options);
   front.RegisterDataset("d", kNumSeries, data_->ContentFingerprint());
   ASSERT_TRUE(front.Start().ok());
+  WireRequest request = TestRequest();
+  request.options.queue_capacity = 2;
+  request.query.threshold = 0.01;  // near-dense edge sets: a large answer
+
+  // Checked precondition: the relay cannot finish before the client
+  // vanishes. After the first window, the merged answer encodes to more
+  // than everything between the shards' producers and the client can
+  // hold: per shard, the socketpair's buffers, the outbuf watermark, two
+  // 64 KiB read chunks and whole frames in its stream queue, wire worker,
+  // outbuf overshoot and partial read; in the router, the merge's skew
+  // window, emitter and downstream queue, the relay's frame, the client
+  // socketpair's buffers, and the client's 64 KiB read chunk and partial
+  // frame. Every frame is bounded by the largest merged frame.
+  {
+    int64_t remainder_bytes = 0;
+    int64_t max_frame = 0;
+    AnswerFrameBytes(request.query, /*consumed=*/1, &remainder_bytes,
+                     &max_frame);
+    const int64_t frames = 3 * request.options.queue_capacity +
+                           ShardMergeOptions().max_skew_windows + 12;
+    const int64_t absorbable =
+        3 * SocketpairBufferBytes() + 2 * shard_outbuf_watermark_ +
+        5 * (int64_t{64} << 10) + frames * max_frame;
+    ASSERT_GT(remainder_bytes, absorbable)
+        << "the merged remainder fits in the buffers";
+  }
 
   {
     int fds[2];
     ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     ASSERT_TRUE(front.AddConnection(fds[0]).ok());
     auto client = WireClient::Adopt(fds[1]);
-    WireRequest request = TestRequest();
-    request.options.queue_capacity = 2;
     ASSERT_TRUE(client->Submit(request).ok());
     auto window = client->Next();
     ASSERT_TRUE(window.ok());

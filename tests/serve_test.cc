@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -518,10 +520,11 @@ TEST(StreamingSubmitTest, DeliversWindowsInOrderMatchingNaive) {
   const SlidingQuery query = MakeQuery(0, length, b * 6, b * 2, 0.6);
   const CorrelationMatrixSeries truth = NaiveTruth(copy, query);
 
-  StreamingSubmitOptions stream_options;
+  ServeOptions stream_options;
   stream_options.queue_capacity = 3;
   stream_options.max_batch_windows = 4;
-  auto stream = server.SubmitStreaming("d", query, stream_options);
+  auto stream = server.SubmitStreaming(
+      QueryRequest{"d", query, stream_options});
   int64_t expected_index = 0;
   while (auto window = stream->Next()) {
     ASSERT_EQ(window->window_index, expected_index);
@@ -540,7 +543,8 @@ TEST(StreamingSubmitTest, DeliversWindowsInOrderMatchingNaive) {
   EXPECT_EQ(stream->summary().windows_computed, query.NumWindows());
 
   // Identical repeat: every window from cache, no evaluation.
-  auto repeat = server.SubmitStreaming("d", query, stream_options);
+  auto repeat = server.SubmitStreaming(
+      QueryRequest{"d", query, stream_options});
   int64_t repeated = 0;
   while (auto window = repeat->Next()) {
     ++repeated;
@@ -555,7 +559,8 @@ TEST(StreamingSubmitTest, DeliversWindowsInOrderMatchingNaive) {
   SlidingQuery swept = query;
   swept.threshold = 0.63;
   const CorrelationMatrixSeries swept_truth = NaiveTruth(copy, swept);
-  auto family = server.SubmitStreaming("d", swept, stream_options);
+  auto family = server.SubmitStreaming(
+      QueryRequest{"d", swept, stream_options});
   int64_t k = 0;
   while (auto window = family->Next()) {
     const auto expected = swept_truth.WindowEdges(k);
@@ -591,10 +596,11 @@ TEST(StreamingSubmitTest, CancellationLeavesReusableCachedPrefix) {
   const int64_t num_windows = query.NumWindows();
   ASSERT_GE(num_windows, 12);
 
-  StreamingSubmitOptions stream_options;
+  ServeOptions stream_options;
   stream_options.queue_capacity = 1;   // tight: the producer blocks early
   stream_options.max_batch_windows = 1;
-  auto stream = server.SubmitStreaming("d", query, stream_options);
+  auto stream = server.SubmitStreaming(
+      QueryRequest{"d", query, stream_options});
   for (int consumed = 0; consumed < 2; ++consumed) {
     auto window = stream->Next();
     ASSERT_TRUE(window.has_value());
@@ -634,10 +640,11 @@ TEST(StreamingSubmitTest, SlowConsumerBackpressureNeverDeadlocks) {
   ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
 
   const SlidingQuery query = MakeQuery(0, length, b * 5, b * 2, 0.6);
-  StreamingSubmitOptions stream_options;
+  ServeOptions stream_options;
   stream_options.queue_capacity = 1;
   stream_options.max_batch_windows = 1;
-  auto stream = server.SubmitStreaming("d", query, stream_options);
+  auto stream = server.SubmitStreaming(
+      QueryRequest{"d", query, stream_options});
 
   // A concurrent identical materialized query joins the stream's in-flight
   // claims; its completion depends on this consumer draining — which it
@@ -677,10 +684,11 @@ TEST(StreamingSubmitTest, MaterializedJoinBeforeDrainingStreamDoesNotDeadlock) {
   ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
 
   const SlidingQuery query = MakeQuery(0, length, b * 5, b * 2, 0.6);
-  StreamingSubmitOptions stream_options;
+  ServeOptions stream_options;
   stream_options.queue_capacity = 1;  // the producer blocks almost at once
   stream_options.max_batch_windows = 1;
-  auto stream = server.SubmitStreaming("d", query, stream_options);
+  auto stream = server.SubmitStreaming(
+      QueryRequest{"d", query, stream_options});
 
   // Block on the materialized result first — the stream is NOT drained yet.
   auto materialized = server.Query("d", query);
@@ -710,10 +718,11 @@ TEST(StreamingSubmitTest, ConcurrentStreamCapRefusesTerminally) {
   ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
 
   const SlidingQuery query = MakeQuery(0, length, b * 5, b, 0.6);
-  StreamingSubmitOptions stream_options;
+  ServeOptions stream_options;
   stream_options.queue_capacity = 1;  // first stream stays live, undrained
-  auto first = server.SubmitStreaming("d", query, stream_options);
-  auto refused = server.SubmitStreaming("d", query, stream_options);
+  auto first = server.SubmitStreaming(QueryRequest{"d", query, stream_options});
+  auto refused = server.SubmitStreaming(
+      QueryRequest{"d", query, stream_options});
   EXPECT_FALSE(refused->Next().has_value());
   EXPECT_EQ(refused->status().code(), StatusCode::kResourceExhausted);
 
@@ -721,7 +730,8 @@ TEST(StreamingSubmitTest, ConcurrentStreamCapRefusesTerminally) {
   first->Cancel();
   while (first->Next().has_value()) {
   }
-  auto admitted = server.SubmitStreaming("d", query, stream_options);
+  auto admitted = server.SubmitStreaming(
+      QueryRequest{"d", query, stream_options});
   int64_t delivered = 0;
   while (admitted->Next().has_value()) {
     ++delivered;
@@ -755,9 +765,9 @@ TEST(StreamingSubmitTest, ServerDestructionCancelsUnconsumedStreams) {
     options.basic_window = b;
     DangoronServer server(options);
     ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
-    StreamingSubmitOptions stream_options;
+    ServeOptions stream_options;
     stream_options.queue_capacity = 1;
-    stream = server.SubmitStreaming("d", query, stream_options);
+    stream = server.SubmitStreaming(QueryRequest{"d", query, stream_options});
     // Destructs here with the queue full and nobody consuming.
   }
   while (stream->Next().has_value()) {
@@ -959,20 +969,6 @@ TEST(WindowClaimTest, CancelBeforeWaitReturnsImmediately) {
   bool cancelled = false;
   EXPECT_EQ(WaitForWindowClaim(claim, &stream, &cancelled), nullptr);
   EXPECT_TRUE(cancelled);
-}
-
-TEST(WindowClaimTest, MaterializedJoinersIgnoreStreams) {
-  // A null stream is the materialized path: the wait is not cancellable
-  // and resolves only through fulfillment.
-  auto claim = std::make_shared<WindowClaim>();
-  std::thread fulfiller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    FulfillWindowClaim(claim, std::make_shared<std::vector<Edge>>());
-  });
-  bool cancelled = true;
-  EXPECT_NE(WaitForWindowClaim(claim, nullptr, &cancelled), nullptr);
-  EXPECT_FALSE(cancelled);
-  fulfiller.join();
 }
 
 // ------------------------------------- family-threshold stream publishing --
@@ -1270,10 +1266,10 @@ TEST(QueuedAdmissionTest, OversizedPrepareParksThenAdmitsAfterEviction) {
 
   // A live stream pins A's sketch: its producer holds the prepared handle
   // while blocked on the tiny undrained delivery queue.
-  StreamingSubmitOptions stream_options;
+  ServeOptions stream_options;
   stream_options.queue_capacity = 1;
   stream_options.max_batch_windows = 1;
-  auto pin = server.SubmitStreaming("a", query, stream_options);
+  auto pin = server.SubmitStreaming(QueryRequest{"a", query, stream_options});
   ASSERT_TRUE(pin->Next().has_value());
 
   // B does not fit next to A, and A is pinned — the request parks.
@@ -1317,10 +1313,10 @@ TEST(QueuedAdmissionTest, ParkedPrepareRefusedAtDeadline) {
 
   const SlidingQuery query = MakeQuery(0, length, b * 6, b * 2, 0.6);
   ASSERT_TRUE(server.Query("a", query).ok());
-  StreamingSubmitOptions stream_options;
+  ServeOptions stream_options;
   stream_options.queue_capacity = 1;
   stream_options.max_batch_windows = 1;
-  auto pin = server.SubmitStreaming("a", query, stream_options);
+  auto pin = server.SubmitStreaming(QueryRequest{"a", query, stream_options});
   ASSERT_TRUE(pin->Next().has_value());
 
   QueryRequest request{"b", query, ServeOptions{}};
@@ -1359,13 +1355,14 @@ TEST(QueuedAdmissionTest, CancelledStreamLeavesQueuePromptly) {
 
   const SlidingQuery query = MakeQuery(0, length, b * 6, b * 2, 0.6);
   ASSERT_TRUE(server.Query("a", query).ok());
-  StreamingSubmitOptions stream_options;
+  ServeOptions stream_options;
   stream_options.queue_capacity = 1;
   stream_options.max_batch_windows = 1;
-  auto pin = server.SubmitStreaming("a", query, stream_options);
+  auto pin = server.SubmitStreaming(QueryRequest{"a", query, stream_options});
   ASSERT_TRUE(pin->Next().has_value());
 
-  auto parked = server.SubmitStreaming(QueryRequest{"b", query, ServeOptions{}});
+  auto parked = server.SubmitStreaming(
+      QueryRequest{"b", query, ServeOptions{}});
   ASSERT_TRUE(WaitForCount(
       [&] { return server.stats().prepares_queued; }, 1));
   parked->Cancel();
@@ -1401,10 +1398,10 @@ TEST(QueuedAdmissionTest, BoundedQueueRefusesPastLimit) {
 
   const SlidingQuery query = MakeQuery(0, length, b * 6, b * 2, 0.6);
   ASSERT_TRUE(server.Query("a", query).ok());
-  StreamingSubmitOptions stream_options;
+  ServeOptions stream_options;
   stream_options.queue_capacity = 1;
   stream_options.max_batch_windows = 1;
-  auto pin = server.SubmitStreaming("a", query, stream_options);
+  auto pin = server.SubmitStreaming(QueryRequest{"a", query, stream_options});
   ASSERT_TRUE(pin->Next().has_value());
 
   auto parked = server.Submit(QueryRequest{"b", query, ServeOptions{}});
@@ -1787,10 +1784,11 @@ TEST(StreamingSubmitTest, DrainAfterCancelRacesServerTeardown) {
     auto server = std::make_unique<DangoronServer>(options);
     ASSERT_TRUE(server->AddDataset("d", data).ok());
 
-    StreamingSubmitOptions stream_options;
+    ServeOptions stream_options;
     stream_options.queue_capacity = 1;  // the producer blocks on delivery
     stream_options.max_batch_windows = 1;
-    auto stream = server->SubmitStreaming("d", query, stream_options);
+    auto stream = server->SubmitStreaming(
+        QueryRequest{"d", query, stream_options});
     ASSERT_TRUE(stream->Next().has_value());
 
     std::thread consumer([&] {
@@ -1804,6 +1802,146 @@ TEST(StreamingSubmitTest, DrainAfterCancelRacesServerTeardown) {
     EXPECT_TRUE(code == StatusCode::kOk || code == StatusCode::kCancelled)
         << stream->status().ToString();
   }
+}
+
+// ------------------------------------------------- one execution path --
+
+// Submit is a collecting drain of the streaming plan: for every plan shape
+// — exact, approx, an off-family threshold (the family-to-query filter), a
+// pair-range restriction, and the pre-run deadline degrade — a
+// materialized query and a drained SubmitStreaming of the same request on
+// an identically fresh server agree window for window, bit for bit, and in
+// their accounting.
+struct PathCase {
+  const char* name;
+  int64_t num_series;
+  ServeTier tier;
+  double threshold;
+  int64_t pair_begin;
+  int64_t pair_end;
+  /// Set: a deadline under degrade=auto, tight for the seeded exact-cost
+  /// estimate, so the exact request is degraded to approx up front.
+  std::optional<int64_t> deadline_ms;
+};
+
+class SubmitDrainsStreamTest : public ::testing::TestWithParam<PathCase> {};
+
+TEST_P(SubmitDrainsStreamTest, QueryEqualsDrainedStreamBitForBit) {
+  const PathCase& path = GetParam();
+  const int64_t b = 8;
+  const int64_t length = b * 66;
+  const TimeSeriesMatrix data = SmallClimate(path.num_series, length, 7101);
+  SlidingQuery query = MakeQuery(0, length, b * 5, b, path.threshold);
+  query.pair_begin = path.pair_begin;
+  query.pair_end = path.pair_end;
+  QueryRequest request{"d", query, ServeOptions{}};
+  request.options.tier = path.tier;
+  if (path.deadline_ms.has_value()) {
+    request.options.deadline_ms = path.deadline_ms;
+    request.options.degrade = DegradePolicy::kAuto;
+  }
+  // Delivery never waits on this consumer, so the deadline can only steer
+  // the tier choice, never cut the stream short.
+  request.options.queue_capacity = query.NumWindows();
+
+  DangoronServerOptions options;
+  options.num_threads = 2;
+  options.basic_window = b;
+  DangoronServer materialized(options);
+  DangoronServer streamed(options);
+  ASSERT_TRUE(materialized.AddDataset("d", data).ok());
+  ASSERT_TRUE(streamed.AddDataset("d", data).ok());
+
+  auto result = materialized.Query(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const ServeTier expected_tier =
+      path.deadline_ms.has_value() ? ServeTier::kApprox : path.tier;
+  EXPECT_EQ(result->tier_used, expected_tier);
+  EXPECT_EQ(result->degraded, path.deadline_ms.has_value());
+
+  auto stream = streamed.SubmitStreaming(request);
+  int64_t k = 0;
+  int64_t edges_seen = 0;
+  while (auto window = stream->Next()) {
+    ASSERT_EQ(window->window_index, k);
+    ASSERT_LT(k, result->series.num_windows());
+    const auto expected = result->series.WindowEdges(k);
+    ASSERT_EQ(window->edges->size(), expected.size()) << "window " << k;
+    for (size_t e = 0; e < expected.size(); ++e) {
+      const Edge& got = (*window->edges)[e];
+      EXPECT_EQ(got.i, expected[e].i) << "window " << k;
+      EXPECT_EQ(got.j, expected[e].j) << "window " << k;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.value),
+                std::bit_cast<uint64_t>(expected[e].value))
+          << "window " << k;
+    }
+    edges_seen += static_cast<int64_t>(expected.size());
+    ++k;
+  }
+  ASSERT_TRUE(stream->status().ok()) << stream->status().ToString();
+  EXPECT_EQ(k, query.NumWindows());
+  EXPECT_GT(edges_seen, 0);  // the comparison is not vacuous
+
+  const QueryAccounting drained = stream->summary();
+  EXPECT_EQ(drained.tier_used, result->tier_used);
+  EXPECT_EQ(drained.degraded, result->degraded);
+  EXPECT_EQ(drained.prepared_from_cache, result->prepared_from_cache);
+  EXPECT_EQ(drained.windows_computed, result->windows_computed);
+  EXPECT_EQ(drained.windows_from_cache, result->windows_from_cache);
+  EXPECT_EQ(drained.windows_joined, result->windows_joined);
+  EXPECT_EQ(drained.cells_jumped, result->cells_jumped);
+  EXPECT_EQ(drained.jumps, result->jumps);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OnePath, SubmitDrainsStreamTest,
+    ::testing::Values(
+        PathCase{"Exact", 24, ServeTier::kExact, 0.6, 0, 0, std::nullopt},
+        PathCase{"Approx", 24, ServeTier::kApprox, 0.6, 0, 0, std::nullopt},
+        PathCase{"OffFamilyThreshold", 24, ServeTier::kExact, 0.63, 0, 0,
+                 std::nullopt},
+        PathCase{"PairRange", 24, ServeTier::kExact, 0.6, 40, 200,
+                 std::nullopt},
+        // 256 series: 32640 pairs x 62 windows priced at the 50 ns/cell
+        // seed is ~100 ms of exact work, past the 50 ms deadline.
+        PathCase{"PreRunDeadlineDegrade", 256, ServeTier::kExact, 0.7, 0, 0,
+                 int64_t{50}}),
+    [](const ::testing::TestParamInfo<PathCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// The kAuto exact-cost model learns from every exact plan that evaluated
+// its windows itself — streamed ones too — and from nothing else: a fresh
+// server reads the pessimistic seed, one drained streaming exact query
+// moves it, and a cache-served repeat (no evaluation) leaves it alone.
+TEST(ExactCostModelTest, StreamedExactQueryTeachesAndCachedRepeatDoesNot) {
+  const int64_t b = 8;
+  const int64_t length = b * 40;
+  DangoronServerOptions options;
+  options.num_threads = 2;
+  options.basic_window = b;
+  DangoronServer server(options);
+  ASSERT_TRUE(server.AddDataset("d", SmallClimate(16, length, 7102)).ok());
+  EXPECT_EQ(server.stats().exact_cell_ns, 50.0);
+
+  const SlidingQuery query = MakeQuery(0, length, b * 6, b, 0.6);
+  auto drain = [&]() -> QueryAccounting {
+    auto stream = server.SubmitStreaming("d", query);
+    while (stream->Next().has_value()) {
+    }
+    EXPECT_TRUE(stream->status().ok()) << stream->status().ToString();
+    return stream->summary();
+  };
+  const QueryAccounting cold = drain();
+  EXPECT_EQ(cold.windows_computed, query.NumWindows());
+  const double taught = server.stats().exact_cell_ns;
+  EXPECT_NE(taught, 50.0);
+  EXPECT_GT(taught, 0.0);
+
+  const QueryAccounting warm = drain();
+  EXPECT_EQ(warm.windows_from_cache, query.NumWindows());
+  EXPECT_EQ(warm.windows_computed, 0);
+  EXPECT_EQ(server.stats().exact_cell_ns, taught);
 }
 
 }  // namespace
